@@ -18,9 +18,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# The race job CI runs, reproducible locally.
+# The race job CI runs, reproducible locally. -cpu runs every test at
+# GOMAXPROCS 1, 2 and 4, so a core-count dependence cannot hide.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 ./...
 
 # Cross-compile for the paper's actual target: the reproduction must
 # keep building for riscv64 even though the model runs anywhere.
@@ -104,15 +105,16 @@ determinism:
 	@echo "determinism OK: serial == parallel for -exp all and both campaigns (incl. multi-socket)"
 
 # The distributed face of the determinism contract, in two layers.
-# First the fault-injection suite under the race detector: seeded
-# mid-grid worker kills, corrupted streams and warm-restarted caches
-# must all leave the campaign bytes identical to a single process.
+# First the fault-injection suite under the race detector at GOMAXPROCS
+# 1, 2 and 4: seeded mid-grid worker kills, corrupted and tampered
+# streams and warm-restarted caches must all leave the campaign bytes
+# identical to a single process.
 # Then the real binary: two -worker daemons behind a -coordinate
 # daemon serve a campaign byte-identical to a plain daemon — including
 # after one worker is killed outright.
 determinism-dist:
 	@mkdir -p bin
-	$(GO) test -race -count=1 ./internal/fabric/...
+	$(GO) test -race -cpu 1,2,4 -count=1 ./internal/fabric/...
 	$(GO) build -o bin/sg2042d ./cmd/sg2042d
 	@set -e; \
 	./bin/sg2042d -addr 127.0.0.1:18143 -worker > bin/dist-w1.log 2>&1 & w1=$$!; \
@@ -142,22 +144,22 @@ determinism-dist:
 	cmp bin/dist-local-degraded.txt bin/dist-sharded-degraded.txt; \
 	echo "determinism-dist OK: sharded == single-process, with and without a dead worker"
 
-# The self-healing chaos gate, in two layers. First the fault-injection
-# and replica suites under the race detector, swept over three fault
-# schedules (FABRIC_FAULT_SEED picks the victims and frames). Then the
-# real binary: a three-worker fleet behind a -replicas 2 coordinator
-# with a fast prober; worker 1 is killed (campaign must stay
-# byte-identical to a single process), restarted on its old port
-# (prober revives it, peers snapshot-warm it — all visible in the
+# The self-healing chaos gate, in two layers. First the fabric and
+# serving fault suites under the race detector at GOMAXPROCS 1, 2 and
+# 4, swept over three fault schedules (FABRIC_FAULT_SEED picks the
+# victims and frames). Then the real binary: a three-worker fleet
+# behind a coordinator with a fast prober; worker 1 is killed (campaign
+# must stay byte-identical to a single process), restarted on its old
+# port (prober revives it, peers snapshot-warm it — all visible in the
 # coordinator's /metrics and in the worker's own request counters), and
-# finally left as the sole survivor serving an entire campaign alone
-# under degraded quorum. Every phase uses a distinct spec so the
-# coordinator's render cache never replays a previous phase's bytes.
+# finally left as the sole survivor serving an entire campaign alone.
+# Every phase uses a distinct spec so the coordinator's render cache
+# never replays a previous phase's bytes.
 determinism-chaos:
 	@mkdir -p bin
 	@set -e; for seed in 1 42 1337; do \
 	  echo "== fault schedule seed $$seed =="; \
-	  FABRIC_FAULT_SEED=$$seed $(GO) test -race -count=1 ./internal/fabric/... ./internal/serve; \
+	  FABRIC_FAULT_SEED=$$seed $(GO) test -race -cpu 1,2,4 -count=1 ./internal/fabric/... ./internal/serve; \
 	done
 	$(GO) build -o bin/sg2042d ./cmd/sg2042d
 	@set -e; \
@@ -166,7 +168,7 @@ determinism-chaos:
 	./bin/sg2042d -addr 127.0.0.1:18155 -worker > bin/chaos-w3.log 2>&1 & w3=$$!; \
 	./bin/sg2042d -addr 127.0.0.1:18156 \
 	  -coordinate http://127.0.0.1:18153,http://127.0.0.1:18154,http://127.0.0.1:18155 \
-	  -replicas 2 -probe-interval 100ms -probe-timeout 1s -probe-backoff 500ms \
+	  -probe-interval 100ms -probe-timeout 1s -probe-backoff 500ms \
 	  > bin/chaos-coord.log 2>&1 & co=$$!; \
 	./bin/sg2042d -addr 127.0.0.1:18157 > bin/chaos-single.log 2>&1 & si=$$!; \
 	trap 'kill $$w1 $$w2 $$w3 $$co $$si 2>/dev/null || true' EXIT; \
@@ -190,7 +192,7 @@ determinism-chaos:
 	  curl -sf --data-binary @$$1 http://127.0.0.1:18156/v1/campaign > bin/chaos-fleet-$$2.txt; \
 	  cmp bin/chaos-local-$$2.txt bin/chaos-fleet-$$2.txt; \
 	}; \
-	echo "phase 1: full replicated fleet"; \
+	echo "phase 1: full fleet"; \
 	diffphase examples/campaign/spec.json full; \
 	echo "phase 2: worker 1 killed"; \
 	kill $$w1; wait $$w1 2>/dev/null || true; \
@@ -203,14 +205,12 @@ determinism-chaos:
 	diffphase examples/chaos/rejoin.json rejoined; \
 	waitmetric 18153 'sg2042d_requests_total{endpoint="fabric-warm"}' 1; \
 	waitmetric 18153 'sg2042d_requests_total{endpoint="fabric-healthz"}' 1; \
-	echo "phase 4: restarted worker as sole survivor (degraded quorum)"; \
+	echo "phase 4: restarted worker as sole survivor"; \
 	kill $$w2 $$w3; wait $$w2 $$w3 2>/dev/null || true; \
 	waitmetric 18156 sg2042d_fabric_probe_deaths_total 3; \
 	diffphase examples/chaos/solo.json solo; \
 	waitmetric 18153 'sg2042d_requests_total{endpoint="fabric-points"}' 1; \
-	q=$$(metric 18156 sg2042d_fabric_quarantines_total); \
-	if [ "$$q" != "0" ]; then echo "honest fleet was quarantined ($$q)"; exit 1; fi; \
-	echo "determinism-chaos OK: kill/restart/rejoin and solo-survivor phases all byte-identical, rejoined worker served again, no spurious quarantine"
+	echo "determinism-chaos OK: kill/restart/rejoin and solo-survivor phases all byte-identical, rejoined worker served again"
 
 # Run every committed fuzzer for a short budget (FUZZTIME each) — the
 # smoke layer between unit tests and a real fuzzing campaign. Patterns

@@ -166,30 +166,6 @@ func TestWorkerServesShardEndpoint(t *testing.T) {
 	stopDaemon(t, cancel1, done1)
 }
 
-// TestReplicasFlagValidation: -replicas is bounded below and is a
-// coordinator-only feature.
-func TestReplicasFlagValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"zero", []string{"-coordinate", "http://w:1", "-replicas", "0"}, "at least 1"},
-		{"negative", []string{"-coordinate", "http://w:1", "-replicas", "-3"}, "at least 1"},
-		{"without coordinate", []string{"-replicas", "2"}, "needs -coordinate"},
-		{"worker with replicas", []string{"-worker", "-replicas", "2"}, "needs -coordinate"},
-	}
-	for _, c := range cases {
-		var out, errOut strings.Builder
-		if code := run(context.Background(), c.args, &out, &errOut, nil); code != 2 {
-			t.Errorf("%s: exit %d, want 2 (stderr: %s)", c.name, code, errOut.String())
-		}
-		if !strings.Contains(errOut.String(), c.want) {
-			t.Errorf("%s: stderr %q lacks %q", c.name, errOut.String(), c.want)
-		}
-	}
-}
-
 // TestWorkerServesSelfHealingSurface: a -worker daemon answers the
 // prober's healthz and the peer snapshot endpoint.
 func TestWorkerServesSelfHealingSurface(t *testing.T) {
@@ -211,36 +187,5 @@ func TestWorkerServesSelfHealingSurface(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("fabric snapshot: status %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestReplicatedFleetEndToEnd: three real worker daemons fronted by a
-// real coordinator daemon with -replicas 2 serve a campaign
-// byte-identical to a single local daemon — the full binary-level
-// replication path.
-func TestReplicatedFleetEndToEnd(t *testing.T) {
-	var targets []string
-	for i := 0; i < 3; i++ {
-		url, cancel, done := startDaemon(t, "-worker", "-parallel", "2")
-		defer stopDaemon(t, cancel, done)
-		targets = append(targets, url)
-	}
-	coordURL, cancel, done := startDaemon(t,
-		"-coordinate", strings.Join(targets, ","), "-replicas", "2",
-		"-probe-interval", "50ms")
-	defer stopDaemon(t, cancel, done)
-	localURL, cancelLocal, doneLocal := startDaemon(t, "-parallel", "4")
-	defer stopDaemon(t, cancelLocal, doneLocal)
-
-	wantStatus, want := postBody(t, localURL, fabricCampaignBody)
-	if wantStatus != http.StatusOK {
-		t.Fatalf("local daemon status %d: %s", wantStatus, want)
-	}
-	status, got := postBody(t, coordURL, fabricCampaignBody)
-	if status != http.StatusOK {
-		t.Fatalf("replicated fleet status %d: %s", status, got)
-	}
-	if got != want {
-		t.Error("replicated fleet body differs from single-daemon body")
 	}
 }

@@ -12,8 +12,6 @@
 //	sg2042d -worker                 # also serve the fabric shard API
 //	sg2042d -coordinate http://w1:8042,http://w2:8042
 //	                                # shard /v1/campaign over a worker fleet
-//	sg2042d -coordinate ... -replicas 2
-//	                                # cross-check each shard on 2 workers
 //	sg2042d -coordinate ... -probe-interval 500ms
 //	                                # faster worker death/rejoin detection
 //	sg2042d -restore cache.snap     # boot with a warm suite cache
@@ -48,9 +46,9 @@
 // health-probes every worker (-probe-interval/-probe-timeout/
 // -probe-backoff): a dead worker leaves the ring, a recovered one
 // rejoins mid-campaign and is snapshot-warmed from its ring peers — no
-// coordinator restart. -replicas N cross-checks each shard on N
-// workers, byte-comparing frames and quarantining any worker whose
-// bytes diverge from quorum (visible in /metrics). -restore loads a
+// coordinator restart. Every shard frame carries a CRC-32, and a worker
+// built with a different model answers the coordinator's model
+// fingerprint with 409 and stays out of the fleet. -restore loads a
 // suite-cache snapshot at boot — a restarted worker answers its shard
 // from cache — and -snapshot writes one on graceful shutdown; the
 // format is documented in docs/PERFORMANCE.md.
@@ -95,7 +93,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	prewarm := fs.Bool("prewarm", false, "render the preset corpus at boot; /healthz stays 503 until it completes")
 	worker := fs.Bool("worker", false, "serve the fabric shard API (POST /v1/fabric/points) beside the ordinary surface")
 	coordinate := fs.String("coordinate", "", "comma-separated worker base URLs; campaigns shard over them instead of evaluating locally")
-	replicas := fs.Int("replicas", 1, "dispatch each campaign shard to N ring-successor workers and byte-compare their frames; divergent workers are quarantined (1 = no replication; needs -coordinate)")
 	probeInterval := fs.Duration("probe-interval", fabric.DefaultProbeInterval, "how often the coordinator health-probes each worker (needs -coordinate)")
 	probeTimeout := fs.Duration("probe-timeout", fabric.DefaultProbeTimeout, "per-probe timeout before a worker counts as failed")
 	probeBackoff := fs.Duration("probe-backoff", fabric.DefaultProbeBackoff, "cap on the probe delay to a dead worker (doubles from -probe-interval up to this)")
@@ -127,14 +124,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 			return 2
 		}
 	}
-	if *replicas < 1 {
-		fmt.Fprintln(stderr, "sg2042d: -replicas must be at least 1")
-		return 2
-	}
-	if *replicas > 1 && *coordinate == "" {
-		fmt.Fprintln(stderr, "sg2042d: -replicas needs -coordinate (replication is a coordinator feature)")
-		return 2
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -146,7 +135,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		Prewarm:    *prewarm,
 		Worker:     *worker,
 		Coordinate: targets,
-		Replicas:   *replicas,
 	})
 	if len(targets) > 0 {
 		// Health probing makes the fleet self-healing: a worker that dies

@@ -50,29 +50,6 @@ func (e *AllWorkersDownError) Error() string {
 	return "fabric: all workers down (" + strings.Join(parts, "; ") + ")"
 }
 
-// ReplicaMismatchError reports a point whose replica votes diverged
-// with no way left to break the tie: no quorum agreed on the frame
-// bytes and every eligible tiebreaker worker is already spent. Votes
-// maps each voter to its frame digest, so the operator can see who
-// disagreed with whom.
-type ReplicaMismatchError struct {
-	Index int
-	Votes map[string]string
-}
-
-func (e *ReplicaMismatchError) Error() string {
-	parts := make([]string, 0, len(e.Votes))
-	for t := range e.Votes {
-		parts = append(parts, t)
-	}
-	sort.Strings(parts)
-	for i, t := range parts {
-		parts[i] = fmt.Sprintf("%s=%s", t, e.Votes[t])
-	}
-	return fmt.Sprintf("fabric: replica mismatch at point %d unresolvable (%s)",
-		e.Index, strings.Join(parts, ", "))
-}
-
 // FabricStats is a point-in-time view of the coordinator's self-healing
 // machinery, rendered into /metrics.
 type FabricStats struct {
@@ -81,7 +58,6 @@ type FabricStats struct {
 	WarmJoins     uint64 // warm-join shipments completed
 	WarmInstalled uint64 // cache entries installed across all warm-joins
 	WarmErrors    uint64 // failed shipments plus per-peer pull failures
-	Quarantines   uint64 // workers quarantined by the replica cross-check
 	Members       []MemberStatus
 }
 
@@ -99,12 +75,6 @@ type Coordinator struct {
 
 	// PointTimeout overrides DefaultPointTimeout (tests shrink it).
 	PointTimeout time.Duration
-
-	// Replicas is how many ring-successor workers each point is
-	// dispatched to (<=1 means no replication). With N > 1 the
-	// coordinator byte-compares the replicas' frames and emits on
-	// quorum (N/2+1); a worker whose bytes diverge is quarantined.
-	Replicas int
 
 	mu     sync.Mutex
 	prober *Prober
@@ -286,30 +256,14 @@ func (c *Coordinator) postWarm(target string, wreq warmRequest) (warmResponse, e
 	return wr, nil
 }
 
-// replicas returns the effective replica factor.
-func (c *Coordinator) replicas() int {
-	if c.Replicas < 1 {
-		return 1
-	}
-	return c.Replicas
-}
-
-// workerMsg is one event from a request goroutine: an evaluated point
-// (with its raw frame bytes, for the replica cross-check), or the
-// request's end (err nil on a clean stream end).
+// workerMsg is one event from a request goroutine: an evaluated
+// point, or the request's end (err nil on a clean stream end).
 type workerMsg struct {
 	reqID  int
 	target string
 	done   bool
 	err    error
 	point  repro.CampaignPoint
-	frame  []byte
-}
-
-// replicaVote is one worker's answer for one grid index.
-type replicaVote struct {
-	frame []byte
-	point repro.CampaignPoint
 }
 
 // Run evaluates the campaign described by specJSON (the verbatim
@@ -318,23 +272,13 @@ type replicaVote struct {
 // duplicates and late arrivals discarded — and returns the assembled
 // result.
 //
-// With Replicas == 1 each point goes to its ring owner; a worker that
-// errors, stalls, or ends its stream with points missing is excluded
-// for the rest of the run and its outstanding points re-dispatched.
-// Re-dispatch consults the live Membership, so a worker the prober has
-// revived since its failure takes its arcs back mid-campaign. Run
-// fails with *AllWorkersDownError only when no worker remains.
-//
-// With Replicas == N > 1 each point goes to its N distinct ring
-// successors; the coordinator byte-compares the replicas' frames and
-// emits once a quorum (N/2+1) agrees. A worker whose bytes diverge
-// from quorum is quarantined: marked sticky-dead in the Membership,
-// its in-flight requests retired, its votes discarded, and its load
-// re-dispatched. Divergence with no quorum and no tiebreaker worker
-// left fails the run with *ReplicaMismatchError. When the surviving
-// fleet is smaller than N, unanimous agreement among the reachable
-// replicas is accepted at this degraded quorum — but divergence never
-// is.
+// Each point goes to its ring owner. A worker that errors (a refused
+// model fingerprint and a failed frame checksum included), stalls, or
+// ends its stream with points missing is excluded for the rest of the
+// run and its outstanding points re-dispatched. Re-dispatch consults
+// the live Membership, so a worker the prober has revived since its
+// failure takes its arcs back mid-campaign. Run fails with
+// *AllWorkersDownError only when no worker remains.
 func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.CampaignPoint) error) (repro.CampaignResult, error) {
 	spec, err := repro.CampaignSpecFromJSON(specJSON, c.reg)
 	if err != nil {
@@ -345,8 +289,6 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 		return repro.CampaignResult{}, err
 	}
 	n := len(fps)
-	replicas := c.replicas()
-	quorum := replicas/2 + 1
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -356,20 +298,12 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 		runFailed   = map[string]int{}    // target -> membership epoch at run-local failure
 		failures    = map[string]string{} // target -> why it was excluded
 		outstanding = map[int]map[int]bool{}
-		reqTargets  = map[int]string{}
 		nextReq     = 0
-		assigned    = make([]map[string]bool, n) // index -> targets asked to vote
-		votes       = make([]map[string]replicaVote, n)
 		points      = make([]repro.CampaignPoint, n)
-		decidedFr   = make([][]byte, n) // winning frame bytes once decided
 		have        = make([]bool, n)
 		received    = 0
 		nextEmit    = 0
 	)
-	for i := range assigned {
-		assigned[i] = map[string]bool{}
-		votes[i] = map[string]replicaVote{}
-	}
 
 	// exclusion merges the fleet's dead set with this run's local
 	// failures — except failures whose worker the prober has revived
@@ -385,41 +319,18 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 		return exc
 	}
 
-	dispatch := func(target string, indices []int) {
-		nextReq++
-		id := nextReq
-		set := make(map[int]bool, len(indices))
-		for _, i := range indices {
-			set[i] = true
-		}
-		outstanding[id] = set
-		reqTargets[id] = target
-		go c.runRequest(ctx, id, target, specJSON, indices, msgs)
-	}
-
-	// assign tops each index up to its replica set: the first
-	// `replicas` distinct live owners in ring order, skipping targets
-	// already asked. It fails only when an index has no reachable
-	// owner and no banked vote.
+	// assign dispatches each index to its live ring owner, one request
+	// per owner. It fails only when no worker is left.
 	assign := func(indices []int) error {
 		exc := exclusion()
 		ring := c.mem.Ring()
 		byTarget := map[string][]int{}
 		for _, i := range indices {
-			if have[i] {
-				continue
-			}
-			owners := ring.Owners(fps[i], replicas, exc)
-			if len(owners) == 0 && len(votes[i]) == 0 {
+			owner, err := ring.Owner(fps[i], exc)
+			if err != nil {
 				return &AllWorkersDownError{Failures: failures}
 			}
-			for _, o := range owners {
-				if assigned[i][o] {
-					continue
-				}
-				assigned[i][o] = true
-				byTarget[o] = append(byTarget[o], i)
-			}
+			byTarget[owner] = append(byTarget[owner], i)
 		}
 		targets := make([]string, 0, len(byTarget))
 		for t := range byTarget {
@@ -427,153 +338,13 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 		}
 		sort.Strings(targets)
 		for _, t := range targets {
-			dispatch(t, byTarget[t])
-		}
-		return nil
-	}
-
-	var tally func(i int) error
-	var quarantine func(target, reason string) error
-
-	frameDigest := func(frame []byte) string {
-		return fmt.Sprintf("%016x", fnv1a(string(frame)))
-	}
-
-	// decide commits index i to the winning frame, emits any newly
-	// in-order prefix, and quarantines voters that disagreed with the
-	// winner.
-	decide := func(i int, winner string) error {
-		for _, v := range votes[i] {
-			if string(v.frame) == winner {
-				points[i] = v.point
-				break
+			nextReq++
+			set := make(map[int]bool, len(byTarget[t]))
+			for _, i := range byTarget[t] {
+				set[i] = true
 			}
-		}
-		decidedFr[i] = []byte(winner)
-		have[i] = true
-		received++
-		for nextEmit < n && have[nextEmit] {
-			if emit != nil {
-				if err := emit(points[nextEmit]); err != nil {
-					return err
-				}
-			}
-			nextEmit++
-		}
-		var losers []string
-		loserDigest := map[string]string{}
-		for t, v := range votes[i] {
-			if string(v.frame) != winner {
-				losers = append(losers, t)
-				loserDigest[t] = frameDigest(v.frame)
-			}
-		}
-		sort.Strings(losers)
-		for _, t := range losers {
-			reason := fmt.Sprintf("replica mismatch: point %d frame %s diverges from quorum %s",
-				i, loserDigest[t], frameDigest([]byte(winner)))
-			if err := quarantine(t, reason); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// tally re-examines index i after its vote set changed: decide on
-	// quorum, wait while a voter is still pending, recruit a
-	// tiebreaker when the votes are in but split, accept a unanimous
-	// undervote only when the fleet has nobody left to ask.
-	tally = func(i int) error {
-		if have[i] || len(votes[i]) == 0 {
-			return nil
-		}
-		counts := map[string]int{}
-		for _, v := range votes[i] {
-			counts[string(v.frame)]++
-		}
-		winner, best := "", 0
-		for f, cnt := range counts {
-			if cnt > best || (cnt == best && f < winner) {
-				winner, best = f, cnt
-			}
-		}
-		if best >= quorum {
-			return decide(i, winner)
-		}
-		exc := exclusion()
-		for t := range assigned[i] {
-			if _, voted := votes[i][t]; !voted && !exc[t] {
-				return nil // a live voter still owes its frame
-			}
-		}
-		// Every asked worker has answered or died. Look for one more
-		// voter beyond the current assignment.
-		for t := range assigned[i] {
-			exc[t] = true
-		}
-		extra := c.mem.Ring().Owners(fps[i], 1, exc)
-		if len(extra) == 0 {
-			if len(counts) == 1 {
-				// Unanimous but under quorum: the surviving fleet is
-				// smaller than the replica factor. Accept.
-				return decide(i, winner)
-			}
-			e := &ReplicaMismatchError{Index: i, Votes: map[string]string{}}
-			for t, v := range votes[i] {
-				e.Votes[t] = frameDigest(v.frame)
-			}
-			return e
-		}
-		assigned[i][extra[0]] = true
-		dispatch(extra[0], []int{i})
-		return nil
-	}
-
-	// quarantine marks a worker sticky-dead fleet-wide, retires its
-	// in-flight requests, strips its votes from undecided indices, and
-	// re-dispatches everything it was still on the hook for.
-	quarantine = func(target, reason string) error {
-		if c.mem.Quarantine(target, reason) {
-			c.mu.Lock()
-			c.stats.Quarantines++
-			c.mu.Unlock()
-		}
-		failures[target] = reason
-		runFailed[target] = c.mem.Epoch(target)
-		var affected []int
-		for id, tgt := range reqTargets {
-			if tgt != target {
-				continue
-			}
-			set := outstanding[id]
-			delete(outstanding, id)
-			delete(reqTargets, id)
-			for i := range set {
-				delete(assigned[i], target)
-				affected = append(affected, i)
-			}
-		}
-		for i := 0; i < n; i++ {
-			if have[i] {
-				continue
-			}
-			if _, ok := votes[i][target]; ok {
-				delete(votes[i], target)
-				delete(assigned[i], target)
-				affected = append(affected, i)
-			}
-		}
-		if len(affected) == 0 {
-			return nil
-		}
-		sort.Ints(affected)
-		if err := assign(affected); err != nil {
-			return err
-		}
-		for _, i := range affected {
-			if err := tally(i); err != nil {
-				return err
-			}
+			outstanding[nextReq] = set
+			go c.runRequest(ctx, nextReq, t, specJSON, byTarget[t], msgs)
 		}
 		return nil
 	}
@@ -599,29 +370,24 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 		}
 		if !m.done {
 			i := m.point.Index
-			if i < 0 || i >= n || !set[i] {
-				// Not a point this request owes: discard. (A worker
-				// sending indices it was never asked for is
-				// misbehaving, but the grid stays exactly-once.)
+			if i < 0 || i >= n || !set[i] || have[i] {
+				// Not a point this request owes, or a duplicate of one
+				// already received: discard. (A worker sending indices
+				// it was never asked for is misbehaving, but the grid
+				// stays exactly-once either way.)
 				continue
 			}
 			delete(set, i)
-			if have[i] {
-				// A replica vote arriving after the index was already
-				// decided still gets cross-checked: agreeing is
-				// redundant, diverging is quarantine.
-				if !bytes.Equal(m.frame, decidedFr[i]) {
-					reason := fmt.Sprintf("replica mismatch: point %d frame %s diverges from quorum %s",
-						i, frameDigest(m.frame), frameDigest(decidedFr[i]))
-					if err := quarantine(m.target, reason); err != nil {
+			points[i] = m.point
+			have[i] = true
+			received++
+			for nextEmit < n && have[nextEmit] {
+				if emit != nil {
+					if err := emit(points[nextEmit]); err != nil {
 						return repro.CampaignResult{}, err
 					}
 				}
-				continue
-			}
-			votes[i][m.target] = replicaVote{frame: m.frame, point: m.point}
-			if err := tally(i); err != nil {
-				return repro.CampaignResult{}, err
+				nextEmit++
 			}
 			continue
 		}
@@ -630,7 +396,6 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 		// clean end that still owes points — excludes the worker for
 		// this run and re-dispatches what it owed.
 		delete(outstanding, m.reqID)
-		delete(reqTargets, m.reqID)
 		if m.err == nil && len(set) == 0 {
 			continue
 		}
@@ -642,17 +407,11 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 		}
 		missing := make([]int, 0, len(set))
 		for i := range set {
-			delete(assigned[i], m.target)
 			missing = append(missing, i)
 		}
 		sort.Ints(missing)
 		if err := assign(missing); err != nil {
 			return repro.CampaignResult{}, err
-		}
-		for _, i := range missing {
-			if err := tally(i); err != nil {
-				return repro.CampaignResult{}, err
-			}
 		}
 	}
 
@@ -660,9 +419,9 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 }
 
 // runRequest performs one shard request, forwarding each decoded point
-// (with its raw frame) and finally a done message. A per-frame
-// watchdog cancels the request if the worker goes longer than
-// PointTimeout without producing a frame.
+// and finally a done message. A per-frame watchdog cancels the request
+// if the worker goes longer than PointTimeout without producing a
+// frame.
 func (c *Coordinator) runRequest(ctx context.Context, id int, target string, specJSON []byte, indices []int, msgs chan<- workerMsg) {
 	send := func(m workerMsg) bool {
 		select {
@@ -676,7 +435,7 @@ func (c *Coordinator) runRequest(ctx context.Context, id int, target string, spe
 		send(workerMsg{reqID: id, target: target, done: true, err: err})
 	}
 
-	body, err := json.Marshal(pointsRequest{Spec: specJSON, Points: indices})
+	body, err := json.Marshal(pointsRequest{Spec: specJSON, Points: indices, Model: modelFingerprint()})
 	if err != nil {
 		fail(err)
 		return
@@ -714,7 +473,7 @@ func (c *Coordinator) runRequest(ctx context.Context, id int, target string, spe
 
 	br := bufio.NewReader(resp.Body)
 	for {
-		buf, err := readRawFrame(br)
+		t, err := readFrame(br)
 		if err == io.EOF {
 			send(workerMsg{reqID: id, target: target, done: true})
 			return
@@ -724,17 +483,12 @@ func (c *Coordinator) runRequest(ctx context.Context, id int, target string, spe
 			return
 		}
 		watchdog.Reset(timeout)
-		t, err := decodeFrame(buf)
-		if err != nil {
-			fail(err)
-			return
-		}
 		p, err := decodePoint(t)
 		if err != nil {
 			fail(err)
 			return
 		}
-		if !send(workerMsg{reqID: id, target: target, point: p, frame: buf}) {
+		if !send(workerMsg{reqID: id, target: target, point: p}) {
 			return
 		}
 	}

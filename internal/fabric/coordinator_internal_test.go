@@ -3,9 +3,11 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,12 +29,12 @@ func fakeWorker(t *testing.T, points []repro.CampaignPoint, script func(req poin
 		w.Header().Set("Content-Type", ContentType)
 		flusher, _ := w.(http.Flusher)
 		script(req, func(p repro.CampaignPoint) {
-			tab, err := encodePoint(p)
+			body, err := encodeFrame(p)
 			if err != nil {
 				t.Errorf("fake worker: %v", err)
 				return
 			}
-			if err := writeFrame(w, tab); err != nil {
+			if err := writeFrame(w, body); err != nil {
 				return
 			}
 			if flusher != nil {
@@ -177,5 +179,87 @@ func TestCoordinatorRejectsBadSpec(t *testing.T) {
 	}
 	if _, err := coord.Run(context.Background(), []byte(`{nope`), nil); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+}
+
+// TestModelMismatchWorkerExcluded: a worker built with a different
+// model answers 409 to points requests and to health probes carrying
+// the coordinator's fingerprint. It serves no point, the campaign
+// completes byte-identically on the rest of the fleet, and the prober
+// keeps the worker dead with the mismatch as its reason.
+func TestModelMismatchWorkerExcluded(t *testing.T) {
+	spec := testSpec(t)
+	want, err := repro.NewEngine(repro.Options{}).Campaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []string
+	var engines []*repro.Engine
+	for i := 0; i < 2; i++ {
+		eng := repro.NewEngine(repro.Options{})
+		wk := NewWorker(eng, nil)
+		if i == 0 {
+			wk.model = "other-model"
+		}
+		mux := http.NewServeMux()
+		wk.Register(mux)
+		srv := httptest.NewServer(mux)
+		defer srv.Close()
+		targets = append(targets, srv.URL)
+		engines = append(engines, eng)
+	}
+	odd := targets[0]
+
+	// A plain health GET, without a fingerprint, still answers 200.
+	resp, err := http.Get(odd + HealthPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("health without a fingerprint = %s, want 200", resp.Status)
+	}
+
+	// Alone, the odd worker fails the campaign with its refusal.
+	solo, err := NewCoordinator([]string{odd}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = solo.Run(context.Background(), testSpecJSON, nil)
+	var down *AllWorkersDownError
+	if !errors.As(err, &down) || !strings.Contains(down.Failures[odd], "409") {
+		t.Fatalf("sole mismatched worker: err = %v, want a 409 failure", err)
+	}
+
+	coord, err := NewCoordinator(targets, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := coord.Run(context.Background(), testSpecJSON, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) ||
+		repro.FormatCampaignResult(got, false) != repro.FormatCampaignResult(want, false) {
+		t.Fatal("campaign result differs from the single-process result")
+	}
+	if hits, misses := engines[0].CacheStats(); hits+misses != 0 {
+		t.Fatalf("mismatched worker evaluated %d suites", hits+misses)
+	}
+
+	coord.StartProber(context.Background(), fastProbe)
+	defer coord.StopProber()
+	waitFor(t, "prober to report the mismatched worker dead", func() bool {
+		return coord.Membership().DeadSet()[odd]
+	})
+	if reason := coord.Membership().Reason(odd); !strings.Contains(reason, "model fingerprint mismatch") {
+		t.Fatalf("dead reason %q does not name the mismatch", reason)
+	}
+	time.Sleep(5 * fastProbe.Interval)
+	if !coord.Membership().DeadSet()[odd] {
+		t.Fatal("prober revived the mismatched worker")
+	}
+	if coord.Membership().DeadSet()[targets[1]] {
+		t.Fatal("prober killed the matching worker")
 	}
 }

@@ -12,9 +12,11 @@
 //     warm for its own shard.
 //
 //   - The point codec (point.go): one wire frame per evaluated
-//     CampaignPoint, length-prefixed for incremental stream decoding.
-//     Float64 fields travel as IEEE-754 bit patterns, so a point
-//     decoded from a worker is bit-identical to one evaluated locally.
+//     CampaignPoint. On the stream a frame is its uvarint length, a
+//     CRC-32 of the body, then the body, so points decode
+//     incrementally and damaged bytes fail the stream. Float64 fields
+//     travel as IEEE-754 bit patterns, so a point decoded from a worker
+//     is bit-identical to one evaluated locally.
 //
 //   - Worker (worker.go): the HTTP handler behind sg2042d -worker. It
 //     answers POST /v1/fabric/points — a shard-scoped campaign API:
@@ -22,13 +24,23 @@
 //     owns — streaming one flushed frame per point as evaluation
 //     completes.
 //
-//   - Coordinator (coordinator.go): expands the grid, assigns points
-//     by ring, fans requests out, and emits points in grid order
-//     through the same in-order machinery a local campaign uses. A
-//     worker that dies, stalls past PointTimeout, or misbehaves is
-//     excluded and its outstanding points re-dispatched to survivors;
-//     the campaign completes as long as one worker lives, and fails
-//     with *AllWorkersDownError once none do.
+//   - Coordinator (coordinator.go): expands the grid, assigns each
+//     point to its ring owner, fans requests out, and emits points in
+//     grid order through the same in-order machinery a local campaign
+//     uses. A worker that dies, stalls past PointTimeout, or
+//     misbehaves is excluded and its outstanding points re-dispatched
+//     to survivors; the campaign completes as long as one worker
+//     lives, and fails with *AllWorkersDownError once none do.
+//
+// Integrity: the model is deterministic, so two honest workers never
+// disagree about a point. What can go wrong is bytes damaged in
+// transit, which the per-frame CRC catches, and a worker built with a
+// different model, which the model fingerprint catches: the
+// coordinator presents its fingerprint on every points request and
+// health probe, and a worker whose own differs answers 409 Conflict,
+// so it is excluded from campaigns and the prober keeps it dead.
+// Neither check sees a fault inside a worker whose fingerprint
+// matched, such as corrupted memory.
 //
 // Determinism contract, extended across the network: the coordinator
 // assembles the full grid and renders through the exact code paths a
@@ -38,6 +50,17 @@
 // fault-injection harness (faulttest/) and the distributed-determinism
 // CI job hold the contract.
 package fabric
+
+import (
+	"encoding/json"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+
+	"repro"
+	"repro/internal/perfmodel"
+)
 
 // PointsPath is the worker's shard-scoped campaign endpoint.
 const PointsPath = "/v1/fabric/points"
@@ -62,9 +85,38 @@ const SnapshotPath = "/v1/fabric/snapshot"
 const WarmPath = "/v1/fabric/warm"
 
 // ContentType is the media type of a worker's point-frame stream: a
-// sequence of uvarint-length-prefixed wire frames, one per point.
+// sequence of CRC-checked, length-prefixed wire frames, one per point.
 const ContentType = "application/vnd.sg2042.fabric-frames"
 
 // SnapshotContentType is the media type of an arc-filtered suite-cache
 // snapshot (the core snapshot wire format).
 const SnapshotContentType = "application/vnd.sg2042.cache-snapshot"
+
+// modelFingerprint identifies the performance model this build
+// evaluates: a hash over every built-in preset's Fingerprint() and the
+// perfmodel calibration constants, both in sorted key order. It is
+// computed once per process. Workers and coordinators compare it so a
+// fleet never mixes points from two different models.
+var modelFingerprint = sync.OnceValue(func() string {
+	var b strings.Builder
+	machines := repro.DefaultMachineRegistry().Machines()
+	sort.Slice(machines, func(i, j int) bool { return machines[i].Label < machines[j].Label })
+	for _, m := range machines {
+		fmt.Fprintf(&b, "%s=%016x\n", m.Label, m.Fingerprint())
+	}
+	// A round trip through a map sorts the calibration's keys at every
+	// level, struct fields included.
+	var cal map[string]any
+	raw, err := json.Marshal(perfmodel.DefaultCalibration())
+	if err == nil {
+		err = json.Unmarshal(raw, &cal)
+	}
+	if err == nil {
+		raw, err = json.Marshal(cal)
+	}
+	if err != nil {
+		panic(err) // plain numbers always marshal
+	}
+	b.Write(raw)
+	return fmt.Sprintf("%016x", fnv1a(b.String()))
+})

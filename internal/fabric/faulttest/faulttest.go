@@ -98,10 +98,10 @@ func (c *Cluster) Arm(i, frames int) { c.nodes[i].ks.arm(frames, modeAbort) }
 func (c *Cluster) Corrupt(i, frames int) { c.nodes[i].ks.arm(frames, modeCorrupt) }
 
 // Tamper makes worker i flip one bit inside the BODY of its frames-th
-// frame (1-based, counted across requests): the frame stays
-// well-formed and decodes cleanly, but carries a wrong value. A
-// non-replicated coordinator cannot see this fault; the replica
-// cross-check must.
+// frame (1-based, counted across requests): the wire table still
+// decodes cleanly, but carries a wrong value. Only the frame's CRC can
+// see this fault; the coordinator must reject the frame and re-dispatch
+// the worker's outstanding points.
 func (c *Cluster) Tamper(i, frames int) { c.nodes[i].ks.arm(frames, modeTamper) }
 
 // Kill shuts worker i's server down immediately — connection refused
@@ -183,14 +183,14 @@ func (k *killSwitch) wrap(h http.Handler) http.Handler {
 }
 
 // killWriter intercepts the worker's frame stream. The worker writes
-// one frame as a length-prefix Write followed by a body Write, then
-// flushes once — so the flush count is the delivered-frame count, the
-// first Write after a flush is the next frame's length prefix, and the
-// Write after that is its body.
+// one frame as a header Write (length prefix and checksum) followed by
+// a body Write, then flushes once — so the flush count is the
+// delivered-frame count, the first Write after a flush is the next
+// frame's header, and the Write after that is its body.
 type killWriter struct {
 	http.ResponseWriter
 	ks *killSwitch
-	// frameStart marks the next Write as a frame's length prefix.
+	// frameStart marks the next Write as a frame's header.
 	frameStart bool
 }
 

@@ -3,7 +3,10 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"time"
 )
@@ -146,11 +149,14 @@ func (p *Prober) loop(ctx context.Context, target string) {
 }
 
 // probe GETs the target's fabric health endpoint once, bounded by the
-// probe timeout.
+// probe timeout. The probe carries this process's model fingerprint,
+// so a worker running a different model answers 409 and stays dead
+// with its refusal as the reason.
 func (p *Prober) probe(ctx context.Context, target string) error {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+HealthPath, nil)
+	u := target + HealthPath + "?model=" + url.QueryEscape(modelFingerprint())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err
 	}
@@ -160,7 +166,8 @@ func (p *Prober) probe(ctx context.Context, target string) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("status %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 	return nil
 }

@@ -114,48 +114,6 @@ func TestProberDrivesMembership(t *testing.T) {
 	}
 }
 
-// TestProberRespectsQuarantine: a quarantined worker keeps answering
-// health probes 200, and must stay dead anyway.
-func TestProberRespectsQuarantine(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
-	}))
-	defer srv.Close()
-
-	mem, err := NewMembership([]string{srv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem.Quarantine(srv.URL, "replica mismatch")
-
-	var revived atomic.Int32
-	p := NewProber(mem, fastProbe, nil, func(target string, live bool) {
-		if live {
-			revived.Add(1)
-		}
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p.Start(ctx)
-	defer p.Stop()
-
-	time.Sleep(5 * fastProbe.Interval)
-	if n := revived.Load(); n != 0 {
-		t.Fatalf("prober revived a quarantined worker %d time(s)", n)
-	}
-	if !mem.DeadSet()[srv.URL] {
-		t.Fatal("quarantined worker left DeadSet under a healthy probe")
-	}
-
-	// Reinstating hands the worker back to the prober, which revives it
-	// on the next healthy probe.
-	mem.Reinstate(srv.URL)
-	waitFor(t, "post-reinstate revival", func() bool { return revived.Load() == 1 })
-	if mem.DeadSet()[srv.URL] {
-		t.Fatal("reinstated worker still dead under a healthy probe")
-	}
-}
-
 // TestProberStopTerminates: Stop returns promptly with loops in the
 // backoff state (a dead target), not just the happy path.
 func TestProberStopTerminates(t *testing.T) {

@@ -22,19 +22,17 @@ type Membership struct {
 }
 
 type memberState struct {
-	live        bool
-	quarantined bool   // divergent under replica cross-check; sticky
-	epoch       int    // bumped on every revival (see Epoch)
-	reason      string // why the worker is dead; cleared on recovery
+	live   bool
+	epoch  int    // bumped on every revival (see Epoch)
+	reason string // why the worker is dead; cleared on recovery
 }
 
 // MemberStatus is one worker's membership state, for status surfaces
 // (/metrics, logs).
 type MemberStatus struct {
-	Target      string
-	Live        bool
-	Quarantined bool
-	Reason      string
+	Target string
+	Live   bool
+	Reason string
 }
 
 // NewMembership builds a membership over the initial fleet, everyone
@@ -114,14 +112,11 @@ func (m *Membership) MarkDead(target, reason string) bool {
 
 // MarkLive records a worker as live, returning true exactly on a
 // dead→live transition — the rejoin edge snapshot shipping hangs off.
-// Quarantined workers stay dead: a worker that serves wrong bytes
-// passes health probes, so revival from quarantine is never automatic
-// (Reinstate is the explicit override).
 func (m *Membership) MarkLive(target string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st, ok := m.state[target]
-	if !ok || st.live || st.quarantined {
+	if !ok || st.live {
 		return false
 	}
 	st.live = true
@@ -142,38 +137,6 @@ func (m *Membership) Epoch(target string) int {
 		return st.epoch
 	}
 	return -1
-}
-
-// Quarantine marks a worker dead AND sticky: health probes cannot
-// revive it. The replica cross-check calls it when a worker's frame
-// bytes diverge from quorum — the worker is up, answering, and wrong,
-// which is strictly worse than down.
-func (m *Membership) Quarantine(target, reason string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.state[target]
-	if !ok || st.quarantined {
-		return false
-	}
-	st.live = false
-	st.quarantined = true
-	st.reason = reason
-	return true
-}
-
-// Reinstate lifts a quarantine (operator override after the worker is
-// fixed). The worker comes back dead-but-probeable; the next
-// successful health probe revives it through the ordinary rejoin path.
-func (m *Membership) Reinstate(target string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.state[target]
-	if !ok || !st.quarantined {
-		return false
-	}
-	st.quarantined = false
-	st.reason = "reinstated, awaiting health probe"
-	return true
 }
 
 // Reason returns why a dead target was excluded ("" when live or
@@ -217,12 +180,7 @@ func (m *Membership) Status() []MemberStatus {
 	out := make([]MemberStatus, 0, len(m.targets))
 	for _, t := range m.targets {
 		st := m.state[t]
-		out = append(out, MemberStatus{
-			Target:      t,
-			Live:        st.live,
-			Quarantined: st.quarantined,
-			Reason:      st.reason,
-		})
+		out = append(out, MemberStatus{Target: t, Live: st.live, Reason: st.reason})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
 	return out

@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func newTestMembership(t *testing.T, n int) *Membership {
 	t.Helper()
@@ -62,58 +59,6 @@ func TestMembershipEpochCountsRevivals(t *testing.T) {
 	}
 	if got := m.Epoch("http://nobody:1"); got != -1 {
 		t.Fatalf("unknown target epoch = %d, want -1", got)
-	}
-}
-
-func TestMembershipQuarantineIsSticky(t *testing.T) {
-	m := newTestMembership(t, 3)
-	w := ringTargets(3)[2]
-
-	if !m.Quarantine(w, "replica mismatch: point 4") {
-		t.Fatal("Quarantine did not report a transition")
-	}
-	if m.Quarantine(w, "again") {
-		t.Fatal("repeat Quarantine reported a transition")
-	}
-	// The defining property: a quarantined worker passes health probes
-	// (it is up — just wrong), so MarkLive must refuse to revive it.
-	if m.MarkLive(w) {
-		t.Fatal("MarkLive revived a quarantined worker")
-	}
-	if dead := m.DeadSet(); !dead[w] {
-		t.Fatalf("quarantined worker missing from DeadSet %v", dead)
-	}
-	var st *MemberStatus
-	for _, ms := range m.Status() {
-		if ms.Target == w {
-			ms := ms
-			st = &ms
-			break
-		}
-	}
-	if st == nil || !st.Quarantined || st.Live {
-		t.Fatalf("Status for %s = %+v, want quarantined and not live", w, st)
-	}
-	if !strings.Contains(st.Reason, "replica mismatch") {
-		t.Fatalf("quarantine reason %q lost the mismatch detail", st.Reason)
-	}
-
-	// Reinstate lifts the stickiness but not the deadness: the worker
-	// must still earn its way back through a health probe.
-	if !m.Reinstate(w) {
-		t.Fatal("Reinstate did not report a transition")
-	}
-	if m.Reinstate(w) {
-		t.Fatal("repeat Reinstate reported a transition")
-	}
-	if !m.DeadSet()[w] {
-		t.Fatal("reinstated worker is live without a probe")
-	}
-	if !m.MarkLive(w) {
-		t.Fatal("MarkLive after Reinstate did not revive")
-	}
-	if m.Epoch(w) != 1 {
-		t.Fatalf("epoch after quarantine round trip = %d, want 1", m.Epoch(w))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sort"
 
@@ -24,10 +25,12 @@ import (
 // is bit-identical to p — the property the distributed determinism
 // contract stands on.
 //
-// On the stream each frame is prefixed with its uvarint byte length,
-// so the coordinator can decode points incrementally as the worker
-// flushes them, and a mid-stream kill surfaces as a truncated frame
-// rather than a hang.
+// On the stream each frame is its uvarint byte length, a CRC-32 (IEEE,
+// big-endian) of the body, then the body. The length prefix lets the
+// coordinator decode points incrementally as the worker flushes them,
+// so a mid-stream kill surfaces as a truncated frame rather than a
+// hang; the checksum turns bytes damaged in transit into a stream
+// error instead of a silently wrong point.
 
 // pointKind is the frame kind of an encoded campaign point.
 const pointKind = "campaign-point"
@@ -295,57 +298,55 @@ func findColumn(t *wire.Table, name string, typ wire.ColType) (*wire.Column, err
 	return nil, fmt.Errorf("fabric: frame %q lacks column %q", t.Kind, name)
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, t wire.Table) error {
-	data, err := wire.Encode(t)
+// crcSize is the width of the frame checksum that precedes the body.
+const crcSize = 4
+
+// encodeFrame encodes one point as a frame body.
+func encodeFrame(p repro.CampaignPoint) ([]byte, error) {
+	t, err := encodePoint(p)
 	if err != nil {
+		return nil, err
+	}
+	return wire.Encode(t)
+}
+
+// writeFrame writes one frame around body in two writes: the length
+// prefix with the body's CRC-32, then the body.
+func writeFrame(w io.Writer, body []byte) error {
+	var hdr [binary.MaxVarintLen64 + crcSize]byte
+	n := binary.PutUvarint(hdr[:], uint64(crcSize+len(body)))
+	binary.BigEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(body))
+	if _, err := w.Write(hdr[:n+crcSize]); err != nil {
 		return err
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(data)))
-	if _, err := w.Write(lenBuf[:n]); err != nil {
-		return err
-	}
-	_, err = w.Write(data)
+	_, err := w.Write(body)
 	return err
 }
 
-// readRawFrame reads one length-prefixed frame body without decoding
-// it. It returns io.EOF exactly at a clean stream end; a length prefix
-// followed by a short body is a truncation error, not EOF. The replica
-// cross-check compares these raw bytes — two workers that agree on a
-// point agree on its frame, byte for byte, because the encoding is
-// canonical.
-func readRawFrame(br *bufio.Reader) ([]byte, error) {
+// readFrame reads one frame, checks its CRC and decodes the body. It
+// returns io.EOF exactly at a clean stream end; a length prefix
+// followed by a short frame is a truncation error, not EOF, and a
+// checksum mismatch is an error like any other damaged stream.
+func readFrame(br *bufio.Reader) (wire.Table, error) {
 	size, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return wire.Table{}, io.EOF
 		}
-		return nil, fmt.Errorf("fabric: reading frame length: %w", err)
+		return wire.Table{}, fmt.Errorf("fabric: reading frame length: %w", err)
 	}
-	if size == 0 || size > maxFrameSize {
-		return nil, fmt.Errorf("fabric: frame length %d out of range (max %d)", size, maxFrameSize)
+	if size <= crcSize || size > maxFrameSize {
+		return wire.Table{}, fmt.Errorf("fabric: frame length %d out of range (max %d)", size, maxFrameSize)
 	}
 	buf := make([]byte, size)
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("fabric: frame truncated: %w", err)
+		return wire.Table{}, fmt.Errorf("fabric: frame truncated: %w", err)
 	}
-	return buf, nil
-}
-
-// readFrame reads and decodes one length-prefixed frame.
-func readFrame(br *bufio.Reader) (wire.Table, error) {
-	buf, err := readRawFrame(br)
-	if err != nil {
-		return wire.Table{}, err
+	body := buf[crcSize:]
+	if want, got := binary.BigEndian.Uint32(buf), crc32.ChecksumIEEE(body); got != want {
+		return wire.Table{}, fmt.Errorf("fabric: frame checksum %08x, want %08x", got, want)
 	}
-	return decodeFrame(buf)
-}
-
-// decodeFrame rebuilds the wire table from a raw frame body.
-func decodeFrame(buf []byte) (wire.Table, error) {
-	t, rest, err := wire.Decode(buf)
+	t, rest, err := wire.Decode(body)
 	if err != nil {
 		return wire.Table{}, fmt.Errorf("fabric: decoding frame: %w", err)
 	}

@@ -61,11 +61,11 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 	points := evalPoints(t, testSpec(t))[:4]
 	var buf bytes.Buffer
 	for _, p := range points {
-		tab, err := encodePoint(p)
+		body, err := encodeFrame(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(&buf, tab); err != nil {
+		if err := writeFrame(&buf, body); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,6 +115,35 @@ func TestReadFrameRejectsHostileLengths(t *testing.T) {
 	if _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{0x00}))); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("zero length = %v, want out-of-range error", err)
+	}
+}
+
+// TestFrameRejectsEveryBitFlip: the CRC catches every single-bit
+// flip in a frame's checksum or body — including flips the wire
+// decoder alone would accept as a different, well-formed point.
+func TestFrameRejectsEveryBitFlip(t *testing.T) {
+	body, err := encodeFrame(evalPoints(t, testSpec(t))[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, body); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	prefix := len(frame) - crcSize - len(body)
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); err != nil {
+		t.Fatalf("intact frame: %v", err)
+	}
+	flipped := make([]byte, len(frame))
+	for i := prefix; i < len(frame); i++ {
+		for bit := 0; bit < 8; bit++ {
+			copy(flipped, frame)
+			flipped[i] ^= 1 << bit
+			if _, err := readFrame(bufio.NewReader(bytes.NewReader(flipped))); err == nil || err == io.EOF {
+				t.Fatalf("flip of bit %d in byte %d accepted (err %v)", bit, i, err)
+			}
+		}
 	}
 }
 

@@ -65,46 +65,16 @@ func NewRing(targets []string) (*Ring, error) {
 // the key's position, walking past vnodes of excluded workers and
 // wrapping at the top. It errors only when every worker is excluded.
 func (r *Ring) Owner(key uint64, excluded map[string]bool) (string, error) {
-	owners := r.Owners(key, 1, excluded)
-	if len(owners) == 0 {
-		return "", fmt.Errorf("fabric: all workers excluded")
-	}
-	return owners[0], nil
-}
-
-// Owners returns up to n distinct non-excluded workers in ring order
-// from the key's position: the key's owner first, then its ring
-// successors — the replica set `-replicas n` dispatches each point to.
-// Fewer than n workers come back when the surviving fleet is smaller.
-func (r *Ring) Owners(key uint64, n int, excluded map[string]bool) []string {
-	owners := make([]string, 0, n)
-	r.walk(key, func(target string) bool {
-		if excluded[target] {
-			return true
-		}
-		for _, t := range owners {
-			if t == target {
-				return true
-			}
-		}
-		owners = append(owners, target)
-		return len(owners) < n
-	})
-	return owners
-}
-
-// walk visits the ring's vnodes from the key's position (wrapping at
-// the top), calling fn with each vnode's target until fn returns false
-// or the whole ring has been visited.
-func (r *Ring) walk(key uint64, fn func(target string) bool) {
 	start := sort.Search(len(r.points), func(i int) bool {
 		return r.points[i].hash >= key
 	})
 	for i := 0; i < len(r.points); i++ {
-		if !fn(r.points[(start+i)%len(r.points)].target) {
-			return
+		p := r.points[(start+i)%len(r.points)]
+		if !excluded[p.target] {
+			return p.target, nil
 		}
 	}
+	return "", fmt.Errorf("fabric: all workers excluded")
 }
 
 // HashRange is one half-open arc (Lo, Hi] of the ring's 64-bit key

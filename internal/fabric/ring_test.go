@@ -228,43 +228,6 @@ func TestSingleWorkerArcCoversEverything(t *testing.T) {
 	}
 }
 
-// TestOwnersDistinctAndOrdered: the replica set is distinct targets,
-// leads with Owner's answer, skips exclusions, and caps at the
-// surviving fleet size.
-func TestOwnersDistinctAndOrdered(t *testing.T) {
-	targets := ringTargets(4)
-	r, err := NewRing(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range sampleKeys(512) {
-		owners := r.Owners(k, 3, nil)
-		if len(owners) != 3 {
-			t.Fatalf("key %016x: %d owners, want 3", k, len(owners))
-		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("key %016x: duplicate replica %s in %v", k, o, owners)
-			}
-			seen[o] = true
-		}
-		if first := ownerOf(t, r, k, nil); owners[0] != first {
-			t.Fatalf("key %016x: Owners[0]=%s, Owner=%s", k, owners[0], first)
-		}
-		// Excluding the primary promotes the first successor.
-		demoted := r.Owners(k, 3, map[string]bool{owners[0]: true})
-		if len(demoted) != 3 || demoted[0] != owners[1] {
-			t.Fatalf("key %016x: excluding %s gave %v, want to lead with %s",
-				k, owners[0], demoted, owners[1])
-		}
-		// Asking for more replicas than workers returns the whole fleet.
-		if all := r.Owners(k, 10, nil); len(all) != len(targets) {
-			t.Fatalf("key %016x: %d owners for n=10, want fleet size %d", k, len(all), len(targets))
-		}
-	}
-}
-
 func TestFormatParseArcsRoundTrip(t *testing.T) {
 	r, err := NewRing(ringTargets(3))
 	if err != nil {

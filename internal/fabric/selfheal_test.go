@@ -1,17 +1,20 @@
 package fabric_test
 
-// Self-healing and replica cross-check tests: real workers on httptest
-// servers, a real coordinator with a real health prober — killed and
-// restarted mid-fleet — plus the byte-level replica voting paths, with
-// faulttest's Tamper standing in for a worker that answers wrong bytes.
+// Self-healing and integrity tests: real workers on httptest servers, a
+// real coordinator with a real health prober — killed and restarted
+// mid-fleet — plus faulttest's Tamper and Corrupt standing in for bytes
+// damaged between worker and coordinator.
 
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,6 +100,32 @@ func newCoord(t *testing.T, cluster *faulttest.Cluster) *fabric.Coordinator {
 	return coord
 }
 
+// firstReadTransport calls fn once, on the first read of the first
+// points-stream response body, before that read returns any bytes.
+type firstReadTransport struct {
+	once sync.Once
+	fn   func()
+}
+
+func (t *firstReadTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.URL.Path == fabric.PointsPath {
+		resp.Body = &hookedBody{ReadCloser: resp.Body, once: &t.once, fn: t.fn}
+	}
+	return resp, err
+}
+
+type hookedBody struct {
+	io.ReadCloser
+	once *sync.Once
+	fn   func()
+}
+
+func (b *hookedBody) Read(p []byte) (int, error) {
+	b.once.Do(b.fn)
+	return b.ReadCloser.Read(p)
+}
+
 // waitForStats polls the coordinator's fabric stats until cond holds.
 func waitForStats(t *testing.T, coord *fabric.Coordinator, what string, cond func(fabric.FabricStats) bool) {
 	t.Helper()
@@ -179,29 +208,32 @@ func TestWorkerRejoinsMidCampaign(t *testing.T) {
 	want := evalDirect(t, wideSpecJSON)
 	cluster := faulttest.NewCluster(2)
 	defer cluster.Close()
-	coord := newCoord(t, cluster)
-	mem := coord.Membership()
 	w0 := cluster.Targets()[0]
 
 	// Worker 0 is dead at dispatch time, so worker 1 is assigned the
 	// whole grid — and is armed to die partway through it.
+	var mem *fabric.Membership
+	revive := &firstReadTransport{fn: func() {
+		// The coordinator is reading worker 1's stream, so it cannot
+		// have seen worker 1 die yet. Revive worker 0 exactly as the
+		// prober would; when worker 1 dies, the re-assignment must
+		// route its outstanding points here.
+		if !mem.MarkLive(w0) {
+			t.Error("MarkLive(w0) mid-campaign reported no transition")
+		}
+	}}
+	coord, err := fabric.NewCoordinator(cluster.Targets(), nil, &http.Client{Transport: revive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.PointTimeout = 10 * time.Second
+	mem = coord.Membership()
 	mem.MarkDead(w0, "health probe: connection refused")
 	cluster.Arm(1, 5)
 
-	revived := false
 	var emitted []int
 	res, err := coord.Run(context.Background(), wideSpecJSON, func(p repro.CampaignPoint) error {
 		emitted = append(emitted, p.Index)
-		if !revived {
-			// First point emitted — worker 1 is mid-stream, strictly
-			// before its armed frame. Revive worker 0 exactly as the
-			// prober would; when worker 1 dies, the re-assignment must
-			// route its outstanding points here.
-			revived = true
-			if !mem.MarkLive(w0) {
-				t.Error("MarkLive(w0) mid-campaign reported no transition")
-			}
-		}
 		return nil
 	})
 	if err != nil {
@@ -219,115 +251,59 @@ func TestWorkerRejoinsMidCampaign(t *testing.T) {
 	}
 }
 
-// TestReplicasByteIdentical: replication changes nothing about the
-// answer — with every worker honest, -replicas 2 and 3 produce the
-// single-process bytes and quarantine nobody.
-func TestReplicasByteIdentical(t *testing.T) {
+// TestTamperedWorkerExcluded: a worker whose frame is damaged on the
+// way out — a body bit flipped so the frame still decodes, or a
+// garbled length prefix — fails its stream on the frame checksum or
+// the decoder. The worker is excluded for the run and its points are
+// re-dispatched, so the campaign answers the single-process bytes.
+func TestTamperedWorkerExcluded(t *testing.T) {
 	want := evalDirect(t, wideSpecJSON)
-	for _, r := range []int{2, 3} {
-		cluster := faulttest.NewCluster(3)
-		coord := newCoord(t, cluster)
-		coord.Replicas = r
-		got := runCoord(t, coord, wideSpecJSON)
+	for _, mode := range []struct {
+		name string
+		arm  func(c *faulttest.Cluster, i, frames int)
+	}{
+		{"tamper", (*faulttest.Cluster).Tamper},
+		{"corrupt", (*faulttest.Cluster).Corrupt},
+	} {
+		cluster := faulttest.NewCluster(2)
+		mode.arm(cluster, 0, 1)
+		got := runCoord(t, newCoord(t, cluster), wideSpecJSON)
 		cluster.Close()
 		assertIdentical(t, want, got)
-		if q := coord.Stats().Quarantines; q != 0 {
-			t.Errorf("replicas=%d quarantined %d honest workers", r, q)
+		if cluster.Frames(0) == 0 {
+			t.Fatalf("%s: worker 0 owned no points; the fault never fired", mode.name)
+		}
+		// Worker 0's first frame was damaged, so none of its points
+		// count: the survivor must have served the whole grid, and the
+		// re-dispatch must never have gone back to worker 0.
+		if n := cluster.Frames(1); n != len(want.Points) {
+			t.Fatalf("%s: survivor served %d frames, want all %d points", mode.name, n, len(want.Points))
 		}
 	}
-}
 
-// TestTamperedWorkerQuarantined is the replica acceptance path: one
-// worker of three silently flips a bit inside a frame body — a fault no
-// stream decoder can see. Under -replicas 2 the campaign must still
-// emit the correct bytes, and the tampering worker must end the run
-// quarantined with a typed mismatch reason.
-func TestTamperedWorkerQuarantined(t *testing.T) {
-	want := evalDirect(t, wideSpecJSON)
 	rng := rand.New(rand.NewSource(faultSeed(42)))
 	for round := 0; round < 3; round++ {
 		victim := rng.Intn(3)
 		frame := 1 + rng.Intn(4)
 		t.Logf("round %d: tampering worker %d at frame %d", round, victim, frame)
 		cluster := faulttest.NewCluster(3)
-		coord := newCoord(t, cluster)
-		coord.Replicas = 2
 		cluster.Tamper(victim, frame)
-		got := runCoord(t, coord, wideSpecJSON)
-		assertIdentical(t, want, got)
-		if q := coord.Stats().Quarantines; q < 1 {
-			t.Fatalf("round %d: tampered worker escaped quarantine", round)
-		}
-		quarantined := false
-		for _, ms := range coord.Membership().Status() {
-			if ms.Target != cluster.Targets()[victim] {
-				continue
-			}
-			quarantined = ms.Quarantined
-			if ms.Live {
-				t.Errorf("round %d: quarantined worker still live", round)
-			}
-			if !strings.Contains(ms.Reason, "replica mismatch") {
-				t.Errorf("round %d: quarantine reason %q does not name the mismatch", round, ms.Reason)
-			}
-		}
-		if !quarantined {
-			t.Fatalf("round %d: membership does not show worker %d quarantined", round, victim)
-		}
-		cluster.Close()
-	}
-}
-
-// TestReplicasSurviveWorkerDeath: replication composes with failover —
-// a worker dying mid-stream under -replicas 2 costs its votes, not the
-// campaign, and an honest death is never treated as divergence.
-func TestReplicasSurviveWorkerDeath(t *testing.T) {
-	want := evalDirect(t, wideSpecJSON)
-	rng := rand.New(rand.NewSource(faultSeed(7)))
-	for round := 0; round < 3; round++ {
-		victim := rng.Intn(3)
-		frame := 1 + rng.Intn(4)
-		t.Logf("round %d: killing worker %d at frame %d", round, victim, frame)
-		cluster := faulttest.NewCluster(3)
-		coord := newCoord(t, cluster)
-		coord.Replicas = 2
-		cluster.Arm(victim, frame)
-		got := runCoord(t, coord, wideSpecJSON)
+		got := runCoord(t, newCoord(t, cluster), wideSpecJSON)
 		cluster.Close()
 		assertIdentical(t, want, got)
-		if q := coord.Stats().Quarantines; q != 0 {
-			t.Errorf("round %d: a crashed (not divergent) worker was quarantined %d time(s)", round, q)
-		}
 	}
-}
 
-// TestReplicaMismatchUnresolvable: two workers, two replicas, one
-// tampered — a 1-1 split with no third worker to break the tie. The
-// coordinator must refuse to guess and fail with the typed error
-// carrying both digests.
-func TestReplicaMismatchUnresolvable(t *testing.T) {
-	cluster := faulttest.NewCluster(2)
+	// A sole tampering worker has nobody to hand its points to: the run
+	// fails, naming the checksum, rather than answer a wrong point.
+	cluster := faulttest.NewCluster(1)
 	defer cluster.Close()
-	coord := newCoord(t, cluster)
-	coord.Replicas = 2
 	cluster.Tamper(0, 1)
-
-	_, err := coord.Run(context.Background(), specJSON, nil)
-	var mismatch *fabric.ReplicaMismatchError
-	if !errors.As(err, &mismatch) {
-		t.Fatalf("err = %v, want *ReplicaMismatchError", err)
+	_, err := newCoord(t, cluster).Run(context.Background(), wideSpecJSON, nil)
+	var down *fabric.AllWorkersDownError
+	if !errors.As(err, &down) {
+		t.Fatalf("err = %v, want *AllWorkersDownError", err)
 	}
-	if len(mismatch.Votes) != 2 {
-		t.Fatalf("mismatch carries %d votes, want 2: %v", len(mismatch.Votes), mismatch.Votes)
-	}
-	digests := map[string]bool{}
-	for _, d := range mismatch.Votes {
-		digests[d] = true
-	}
-	if len(digests) != 2 {
-		t.Fatalf("votes %v are not divergent", mismatch.Votes)
-	}
-	if !strings.Contains(err.Error(), "replica mismatch") {
-		t.Fatalf("error %q does not name the mismatch", err)
+	if reason := down.Failures[cluster.Targets()[0]]; !strings.Contains(reason, "checksum") {
+		t.Fatalf("failure %q does not name the checksum", reason)
 	}
 }

@@ -19,10 +19,13 @@ import (
 // campaign spec, verbatim, plus the grid indices this worker should
 // evaluate. The worker re-expands the spec itself — the grid is a pure
 // function of the spec, so coordinator and worker agree on what each
-// index means without ever shipping expanded machines.
+// index means without ever shipping expanded machines. Model is the
+// coordinator's model fingerprint; a worker running a different model
+// refuses the request with 409 Conflict.
 type pointsRequest struct {
 	Spec   json.RawMessage `json:"spec"`
 	Points []int           `json:"points"`
+	Model  string          `json:"model"`
 }
 
 // Worker serves the shard-scoped campaign API. It wraps the same
@@ -34,6 +37,9 @@ type Worker struct {
 	// client performs warm-join snapshot pulls from peers
 	// (ServeWarm); tests may swap it.
 	client *http.Client
+	// model is the fingerprint a coordinator must present
+	// (modelFingerprint; tests may swap it).
+	model string
 }
 
 // NewWorker wraps an engine and registry (nil reg means the default
@@ -48,16 +54,22 @@ func NewWorker(eng *repro.Engine, reg *repro.MachineRegistry) *Worker {
 		// Snapshot pulls are a few MB of local traffic at worst; a
 		// bounded client keeps a hung peer from wedging a warm-join.
 		client: &http.Client{Timeout: 30 * time.Second},
+		model:  modelFingerprint(),
 	}
 }
 
-// ServeHTTP answers POST /v1/fabric/points, streaming one
-// length-prefixed frame per evaluated point, flushed as soon as the
-// point completes (completion order, not grid order — the coordinator
-// owns ordering). Spec and index validation happen before the first
-// frame, so protocol errors are clean JSON with a real status code; a
-// failure after streaming starts tears the stream, which the
-// coordinator treats like a dead worker.
+// ServeHTTP answers POST /v1/fabric/points, streaming one frame per
+// evaluated point, flushed as soon as the point completes (completion
+// order, not grid order — the coordinator owns ordering). Spec, model
+// and index validation happen before the first frame, so protocol
+// errors are clean JSON with a real status code; a failure after
+// streaming starts tears the stream, which the coordinator treats like
+// a dead worker.
+//
+// Points are evaluated and encoded on the engine's pool goroutines,
+// which hand the frame bodies over a channel; only this goroutine
+// touches w, so a panic while writing (http.ErrAbortHandler included)
+// stays on the goroutine net/http recovers.
 func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -69,6 +81,10 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		workerError(w, http.StatusBadRequest, fmt.Errorf("decoding points request: %w", err))
+		return
+	}
+	if err := wk.checkModel(req.Model); err != nil {
+		workerError(w, http.StatusConflict, err)
 		return
 	}
 	if len(req.Spec) == 0 {
@@ -107,24 +123,60 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", ContentType)
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	flusher, _ := w.(http.Flusher)
-	err = wk.eng.CampaignPoints(spec, req.Points, func(p repro.CampaignPoint) error {
-		t, err := encodePoint(p)
-		if err != nil {
-			return err
+
+	// A few frames of slack let evaluation run ahead of a slow flush
+	// while holding at most a few KB per request.
+	frames := make(chan []byte, 16)
+	stop := make(chan struct{})
+	var evalErr error
+	go func() {
+		defer close(frames)
+		evalErr = wk.eng.CampaignPoints(spec, req.Points, func(p repro.CampaignPoint) error {
+			body, err := encodeFrame(p)
+			if err != nil {
+				return err
+			}
+			select {
+			case frames <- body:
+				return nil
+			case <-stop:
+				return errStreamClosed
+			}
+		})
+	}()
+	// However this handler exits, a write panic included, stop the
+	// evaluation and wait for its goroutine, so no work outlives the
+	// request.
+	defer func() {
+		close(stop)
+		for range frames {
 		}
-		if err := writeFrame(w, t); err != nil {
-			return err
+	}()
+	for body := range frames {
+		if err := writeFrame(w, body); err != nil {
+			panic(http.ErrAbortHandler)
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return nil
-	})
-	if err != nil {
+	}
+	if evalErr != nil {
 		// The stream is already open: tear the connection so the
 		// coordinator sees a hard failure, not a clean short stream.
 		panic(http.ErrAbortHandler)
 	}
+}
+
+// errStreamClosed stops an evaluation whose response stream is gone.
+var errStreamClosed = errors.New("fabric: points stream closed")
+
+// checkModel refuses a coordinator whose model fingerprint differs
+// from the worker's: its points would not be the coordinator's points.
+func (wk *Worker) checkModel(model string) error {
+	if model != wk.model {
+		return fmt.Errorf("model fingerprint mismatch: coordinator %q, worker %q", model, wk.model)
+	}
+	return nil
 }
 
 // Register mounts every worker endpoint on a mux.
@@ -136,10 +188,17 @@ func (wk *Worker) Register(mux *http.ServeMux) {
 }
 
 // ServeHealth answers the fabric readiness probe. A worker that can
-// run this handler can serve shard traffic, so the answer is
-// unconditionally 200 — warmth is a performance property, not a
-// liveness one.
+// run this handler can serve shard traffic, so the answer is 200 —
+// warmth is a performance property, not a liveness one — unless the
+// probe carries a ?model= fingerprint that differs from the worker's,
+// which answers 409 Conflict: such a worker is up but must not serve.
 func (wk *Worker) ServeHealth(w http.ResponseWriter, r *http.Request) {
+	if model := r.URL.Query().Get("model"); model != "" {
+		if err := wk.checkModel(model); err != nil {
+			workerError(w, http.StatusConflict, err)
+			return
+		}
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }

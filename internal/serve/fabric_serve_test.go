@@ -175,7 +175,7 @@ func TestFleetDownRetryAfterAndMetric(t *testing.T) {
 }
 
 // TestCoordinatorMetricsExposeFleet: a coordinating server's /metrics
-// reports per-worker up/quarantined gauges and the self-healing
+// reports per-worker up gauges and the self-healing
 // counters; a plain server omits the per-worker block but still exports
 // the fleet-down counter at zero.
 func TestCoordinatorMetricsExposeFleet(t *testing.T) {
@@ -191,7 +191,6 @@ func TestCoordinatorMetricsExposeFleet(t *testing.T) {
 		"sg2042d_fabric_probe_deaths_total 0",
 		"sg2042d_fabric_probe_revivals_total 0",
 		"sg2042d_fabric_warm_joins_total 0",
-		"sg2042d_fabric_quarantines_total 0",
 	} {
 		if !strings.Contains(body, counter) {
 			t.Errorf("metrics lack %q", counter)
@@ -209,36 +208,35 @@ func TestCoordinatorMetricsExposeFleet(t *testing.T) {
 	}
 }
 
-// TestReplicatedCampaignQuarantineInMetrics is the serving-tier face of
-// the replica acceptance: a coordinator with Replicas: 2 over a fleet
-// where one worker tampers a frame body still answers the exact local
-// bytes, and /metrics reports the quarantine.
-func TestReplicatedCampaignQuarantineInMetrics(t *testing.T) {
+// TestDamagedFrameCampaignByteIdentical is the serving-tier face of
+// the frame checksum: a coordinator over a fleet where one worker's
+// first frame is damaged — a body bit flipped (the frame still
+// decodes) or a garbled length prefix — still answers the exact local
+// bytes, the damaged worker's points served by its peer.
+func TestDamagedFrameCampaignByteIdentical(t *testing.T) {
 	local := httptest.NewServer(New(Options{Parallel: 4}).Handler())
 	defer local.Close()
-
-	cluster := faulttest.NewCluster(3)
-	defer cluster.Close()
-	cluster.Tamper(0, 1)
-	coord := httptest.NewServer(New(Options{Coordinate: cluster.Targets(), Replicas: 2}).Handler())
-	defer coord.Close()
-
 	_, _, want := postCampaign(t, local, "", campaignBody, "")
-	status, _, got := postCampaign(t, coord, "", campaignBody, "")
-	if status != http.StatusOK {
-		t.Fatalf("status %d with a tampering worker under replication: %s", status, got)
-	}
-	if got != want {
-		t.Error("replicated body differs from single-process body despite quorum")
-	}
 
-	body := getMetricsBody(t, coord)
-	if !strings.Contains(body, "sg2042d_fabric_quarantines_total 1") {
-		t.Errorf("metrics lack the quarantine counter:\n%s", grepMetrics(body, "quarantine"))
-	}
-	gauge := `sg2042d_fabric_worker_quarantined{target="` + cluster.Targets()[0] + `"} 1`
-	if !strings.Contains(body, gauge) {
-		t.Errorf("metrics lack %s:\n%s", gauge, grepMetrics(body, "quarantined"))
+	for _, mode := range []struct {
+		name string
+		arm  func(c *faulttest.Cluster, i, frames int)
+	}{
+		{"tamper", (*faulttest.Cluster).Tamper},
+		{"corrupt", (*faulttest.Cluster).Corrupt},
+	} {
+		cluster := faulttest.NewCluster(2)
+		mode.arm(cluster, 0, 1)
+		coord := httptest.NewServer(New(Options{Coordinate: cluster.Targets()}).Handler())
+		status, _, got := postCampaign(t, coord, "", campaignBody, "")
+		coord.Close()
+		cluster.Close()
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d with a damaged frame: %s", mode.name, status, got)
+		}
+		if got != want {
+			t.Errorf("%s: fleet body differs from single-process body", mode.name)
+		}
 	}
 }
 

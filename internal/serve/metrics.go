@@ -185,9 +185,6 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 		b.WriteString("# HELP sg2042d_fabric_warm_errors_total Failed warm shipments plus per-peer snapshot pull failures.\n")
 		b.WriteString("# TYPE sg2042d_fabric_warm_errors_total counter\n")
 		fmt.Fprintf(&b, "sg2042d_fabric_warm_errors_total %d\n", fs.WarmErrors)
-		b.WriteString("# HELP sg2042d_fabric_quarantines_total Workers quarantined after diverging from replica quorum.\n")
-		b.WriteString("# TYPE sg2042d_fabric_quarantines_total counter\n")
-		fmt.Fprintf(&b, "sg2042d_fabric_quarantines_total %d\n", fs.Quarantines)
 		b.WriteString("# HELP sg2042d_fabric_worker_up Whether each fabric worker is currently live in the ring.\n")
 		b.WriteString("# TYPE sg2042d_fabric_worker_up gauge\n")
 		for _, ms := range fs.Members {
@@ -196,15 +193,6 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 				up = 1
 			}
 			fmt.Fprintf(&b, "sg2042d_fabric_worker_up{target=%q} %d\n", ms.Target, up)
-		}
-		b.WriteString("# HELP sg2042d_fabric_worker_quarantined Whether each fabric worker is quarantined (sticky-dead until reinstated).\n")
-		b.WriteString("# TYPE sg2042d_fabric_worker_quarantined gauge\n")
-		for _, ms := range fs.Members {
-			q := 0
-			if ms.Quarantined {
-				q = 1
-			}
-			fmt.Fprintf(&b, "sg2042d_fabric_worker_quarantined{target=%q} %d\n", ms.Target, q)
 		}
 	}
 

@@ -75,11 +75,6 @@ type Options struct {
 	// at boot); an invalid list surfaces as an error on every campaign
 	// request.
 	Coordinate []string
-	// Replicas dispatches each campaign shard to this many
-	// ring-successor workers and byte-compares their frames, emitting
-	// on quorum and quarantining divergent workers (<=1 disables
-	// replication). Only meaningful with Coordinate.
-	Replicas int
 }
 
 // Server is the HTTP front end of the study engine. It is safe for
@@ -122,9 +117,6 @@ func New(opts Options) *Server {
 	}
 	if len(opts.Coordinate) > 0 {
 		s.coord, s.coordErr = fabric.NewCoordinator(opts.Coordinate, s.reg, nil)
-		if s.coord != nil {
-			s.coord.Replicas = opts.Replicas
-		}
 	}
 	s.routes()
 	return s
