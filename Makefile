@@ -4,7 +4,7 @@ SERVE_ADDR ?= 127.0.0.1:18042
 # B/op beyond it fail, ns/op only warns (CI timing is noise).
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build vet test race cross bench bench-json bench-compare bench-http bench-http-json profile verify serve doccheck determinism determinism-dist determinism-chaos fuzz-smoke ci
+.PHONY: build vet test race cross bench bench-json bench-compare bench-http bench-http-json profile verify perfbench-test serve doccheck determinism determinism-dist determinism-chaos fuzz-smoke ci
 
 # Per-fuzzer budget for the fuzz-smoke gate.
 FUZZTIME ?= 10s
@@ -80,6 +80,12 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space bin/repro-profile.test bin/campaign-heap.pprof
 
 verify: build vet test
+
+# The study-daemon benchmark (perfbench/, its own module) pins
+# assumptions about the engine — the plan-cache cap, the CacheStats
+# signature, the /metrics counter names — in its own tests.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Fail on dangling doc references: Go files or markdown citing a
 # docs/*.md that does not exist, and broken relative markdown links.
@@ -246,7 +252,7 @@ serve:
 # tier-1 verify, doc references, the race detector, the riscv64
 # cross-build, the byte-level determinism checks (single-process,
 # distributed, and the self-healing chaos phases), the daemon smoke
-# test, the fuzzer smoke pass and both regression gates (engine
-# benchmarks and the serving SLO).
-ci: verify doccheck race cross determinism determinism-dist determinism-chaos serve fuzz-smoke bench-compare bench-http
+# test, the fuzzer smoke pass, the benchmark's own tests and both
+# regression gates (engine benchmarks and the serving SLO).
+ci: verify perfbench-test doccheck race cross determinism determinism-dist determinism-chaos serve fuzz-smoke bench-compare bench-http
 	@echo "ci OK"

@@ -165,6 +165,10 @@ func (e *Engine) RunEach(names []string, csv bool) (expanded []string, outs []st
 // from the cache, misses evaluated).
 func (e *Engine) CacheStats() (hits, misses uint64) { return e.st.CacheStats() }
 
+// SuiteCacheStats reports the engine's suite cache in full: hits,
+// misses, evictions at its cap and live entries.
+func (e *Engine) SuiteCacheStats() MemoStats { return e.st.SuiteCacheStats() }
+
 // RunExperiment regenerates one of the paper's tables or figures and
 // returns it rendered as text. Accepted names are listed in
 // ExperimentNames; "all" concatenates every experiment. Evaluation is

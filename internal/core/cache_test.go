@@ -244,7 +244,7 @@ func (e constErr) Error() string { return string(e) }
 const errFigureMismatch = constErr("concurrent Figure1 differs from serial reference")
 
 // TestSuiteCacheShardedStress hammers the sharded cache with a key
-// space spanning every shard from many goroutines at once — the
+// space spread over the shards from many goroutines at once — the
 // make-race workload for the shard locking: concurrent misses on
 // different shards, repeat hits, and singleflight coalescing within a
 // shard must all agree with a serial evaluation.
@@ -273,14 +273,6 @@ func TestSuiteCacheShardedStress(t *testing.T) {
 		}
 		want[i] = ms
 	}
-	shardsHit := make(map[*suiteShard]bool)
-	for _, cfg := range cfgs {
-		shardsHit[shared.cache.shardFor(shared.suiteKeyFor(cfg))] = true
-	}
-	if len(shardsHit) < 2 {
-		t.Fatalf("stress key space lands on %d shard(s); hash is not spreading", len(shardsHit))
-	}
-
 	const workers = 16
 	const rounds = 3
 	errs := make(chan error, workers)
@@ -316,5 +308,33 @@ func TestSuiteCacheShardedStress(t *testing.T) {
 	}
 	if misses != uint64(len(cfgs)) {
 		t.Errorf("misses = %d, want %d (each config evaluates exactly once)", misses, len(cfgs))
+	}
+}
+
+// The suite cache is bounded: past maxSuiteEntries new entries evict
+// old ones, so a storm of distinct machines cannot grow it without
+// limit. The key hash must also spread keys well enough that nearly
+// every shard fills.
+func TestSuiteCacheBounded(t *testing.T) {
+	st := NewStudy()
+	ms := []Measurement{{Kernel: "k", Seconds: 1}}
+	const n = maxSuiteEntries + 100
+	for i := 0; i < n; i++ {
+		if !st.cache.Add(suiteKey{machine: "synthetic", machineFP: uint64(i), runs: 1}, ms) {
+			t.Fatalf("Add %d refused a new key", i)
+		}
+	}
+	s := st.SuiteCacheStats()
+	if s.Entries > maxSuiteEntries {
+		t.Errorf("%d entries past the %d cap", s.Entries, maxSuiteEntries)
+	}
+	if s.Evictions < 100 {
+		t.Errorf("%d evictions after %d adds into a %d cap, want >= 100", s.Evictions, n, maxSuiteEntries)
+	}
+	if s.Entries < maxSuiteEntries*15/16 {
+		t.Errorf("only %d of %d slots filled: the key hash is not spreading over the shards", s.Entries, maxSuiteEntries)
+	}
+	if s.Hits != 0 || s.Misses != 0 {
+		t.Errorf("Adds counted as lookups: %d hits, %d misses", s.Hits, s.Misses)
 	}
 }

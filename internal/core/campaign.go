@@ -30,8 +30,10 @@ package core
 // bytes the naive per-point path produces.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -524,18 +526,21 @@ func AssembleCampaign(spec CampaignSpec, points []CampaignPoint) (CampaignResult
 }
 
 // rankByMeanRatio orders point indices by descending MeanRatio, grid
-// order breaking ties — a deterministic insertion sort over a small
-// grid.
+// order breaking ties (a stable sort).
 func rankByMeanRatio(points []CampaignPoint) []int {
 	out := make([]int, len(points))
 	for i := range out {
 		out[i] = i
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && points[out[j]].MeanRatio > points[out[j-1]].MeanRatio; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	slices.SortStableFunc(out, func(a, b int) int {
+		switch ra, rb := points[a].MeanRatio, points[b].MeanRatio; {
+		case ra > rb:
+			return -1
+		case ra < rb:
+			return 1
 		}
-	}
+		return 0
+	})
 	return out
 }
 
@@ -570,21 +575,16 @@ func paretoFront(points []CampaignPoint) []int {
 	for i := range order {
 		order[i] = i
 	}
-	less := func(a, b int) bool {
-		pa, pb := points[a], points[b]
+	slices.SortFunc(order, func(a, b int) int {
+		pa, pb := &points[a], &points[b]
 		if pa.Cores != pb.Cores {
-			return pa.Cores < pb.Cores
+			return cmp.Compare(pa.Cores, pb.Cores)
 		}
 		if pa.TotalSeconds != pb.TotalSeconds {
-			return pa.TotalSeconds < pb.TotalSeconds
+			return cmp.Compare(pa.TotalSeconds, pb.TotalSeconds)
 		}
-		return a < b
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+		return cmp.Compare(a, b)
+	})
 	var front []int
 	best := 0.0
 	for k, i := range order {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/autovec"
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/par"
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
@@ -53,16 +54,18 @@ type Study struct {
 	// measure the uncached baseline).
 	NoCache bool
 
-	// cache is shared between a Study and its WithWorkers views; a
-	// zero-literal Study has none and evaluates uncached.
-	cache *suiteCache
+	// cache memoizes RunSuite results (see cache.go): concurrent
+	// experiment constructors that need the same configuration share
+	// one evaluation. It is shared between a Study and its WithWorkers
+	// views; a zero-literal Study has none and evaluates uncached.
+	cache *memo.Cache[suiteKey, []Measurement]
 }
 
 // NewStudy returns a Study with the paper's defaults: five runs with a
 // small seeded measurement noise, serial evaluation.
 func NewStudy() *Study {
 	return &Study{Model: perfmodel.New(), Runs: 5, Noise: 0.01, Seed: 42,
-		cache: &suiteCache{}}
+		cache: memo.New[suiteKey, []Measurement](maxSuiteEntries, suiteKeyHash)}
 }
 
 // WithWorkers returns a view of st evaluating under a different worker
@@ -90,16 +93,12 @@ func (st *Study) RunSuite(cfg perfmodel.Config) ([]Measurement, error) {
 	if st.NoCache || st.cache == nil {
 		return st.runSuiteUncached(cfg)
 	}
-	e := st.cache.entry(st.suiteKeyFor(cfg))
-	e.once.Do(func() {
-		e.ms, e.err = st.runSuiteUncached(cfg)
-		e.done.Store(true)
-	})
-	if e.err != nil {
-		return nil, e.err
+	ms, err := st.runSuiteShared(cfg, st.suiteKeyFor(cfg))
+	if err != nil {
+		return nil, err
 	}
-	out := make([]Measurement, len(e.ms))
-	copy(out, e.ms)
+	out := make([]Measurement, len(ms))
+	copy(out, ms)
 	return out, nil
 }
 
@@ -114,12 +113,7 @@ func (st *Study) runSuiteShared(cfg perfmodel.Config, key suiteKey) ([]Measureme
 	if st.NoCache || st.cache == nil {
 		return st.runSuiteUncached(cfg)
 	}
-	e := st.cache.entry(key)
-	e.once.Do(func() {
-		e.ms, e.err = st.runSuiteUncached(cfg)
-		e.done.Store(true)
-	})
-	return e.ms, e.err
+	return st.cache.Get(key, func() ([]Measurement, error) { return st.runSuiteUncached(cfg) })
 }
 
 // breakdownPool recycles the per-configuration Breakdown buffer: the

@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/placement"
 	"repro/internal/prec"
 	"repro/internal/suite"
@@ -167,43 +168,31 @@ func planKeyFor(s CampaignSpec) string {
 	return string(b)
 }
 
-// planCache memoizes compiled plans process-wide. Entries build under a
-// sync.Once (singleflight); past maxPlans the cache stops admitting new
-// specs and they compile per call.
-var planCache struct {
-	mu sync.Mutex
-	m  map[string]*planEntry
-}
-
-type planEntry struct {
-	once sync.Once
-	plan *campaignPlan
-	err  error
-}
-
+// maxPlans is how many distinct specs the process keeps compiled.
+// Past it an unseen spec compiles per call and is not kept, so a
+// long-lived daemon's plan memory stays bounded however many distinct
+// campaigns it serves.
 const maxPlans = 128
 
+// plans memoizes compiled plans process-wide. Its capacity gives each
+// of the memo's shards room for maxPlans entries, so shard eviction
+// can never fire before planFor's own admission check does.
+var plans = memo.New[string, *campaignPlan](memo.Shards*maxPlans, func(k string) uint64 {
+	return memo.MixString(memo.Offset, k)
+})
+
 // planFor returns the compiled plan for spec, building and memoizing it
-// on first use. Validation errors memoize too — a spec's validity is as
-// deterministic as its grid.
+// on first use. Errors are not memoized: an invalid spec re-validates
+// on every call.
 func planFor(s CampaignSpec) (*campaignPlan, error) {
 	key := planKeyFor(s)
-	planCache.mu.Lock()
-	if planCache.m == nil {
-		planCache.m = make(map[string]*planEntry)
+	if p, ok := plans.Lookup(key); ok {
+		return p, nil
 	}
-	e, ok := planCache.m[key]
-	if !ok {
-		if len(planCache.m) >= maxPlans {
-			planCache.mu.Unlock()
-			return buildPlan(s)
-		}
-		e = &planEntry{}
-		planCache.m[key] = e
+	if plans.Stats().Entries >= maxPlans {
+		return buildPlan(s)
 	}
-	planCache.mu.Unlock()
-	e.once.Do(func() { e.plan, e.err = buildPlan(s) })
-	return e.plan, e.err
+	return plans.Get(key, func() (*campaignPlan, error) { return buildPlan(s) })
 }
 
 // buildPlan validates the spec and derives every combo's machine — the

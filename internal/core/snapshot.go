@@ -62,6 +62,13 @@ const (
 	snapSuiteKind  = "snapshot-suite"
 )
 
+// snapshotEntry is one completed, successful suite-cache entry — the
+// unit a snapshot serializes.
+type snapshotEntry struct {
+	key suiteKey
+	ms  []Measurement
+}
+
 // SnapshotCache serializes every completed suite-cache entry. The
 // output is deterministic: entries are sorted by their canonical key,
 // so two snapshots of the same cache state are byte-identical.
@@ -78,16 +85,13 @@ func (st *Study) SnapshotCache() ([]byte, error) {
 func (st *Study) SnapshotCacheIf(keep func(machineFP uint64) bool) ([]byte, error) {
 	var entries []snapshotEntry
 	if st.cache != nil {
-		entries = st.cache.snapshotEntries()
-	}
-	if keep != nil {
-		kept := entries[:0]
-		for _, e := range entries {
-			if keep(e.key.machineFP) {
-				kept = append(kept, e)
+		// The measurement slices are the cache's own; encoding only
+		// reads them.
+		st.cache.Range(func(k suiteKey, ms []Measurement) {
+			if keep == nil || keep(k.machineFP) {
+				entries = append(entries, snapshotEntry{key: k, ms: ms})
 			}
-		}
-		entries = kept
+		})
 	}
 	sortSnapshotEntries(entries)
 	tables := make([]wire.Table, 0, 1+2*len(entries))
@@ -121,7 +125,7 @@ func (st *Study) RestoreCache(data []byte) (int, error) {
 	installed := 0
 	for _, e := range entries {
 		e.key.model = st.Model
-		if st.cache.install(e.key, e.ms) {
+		if st.cache.Add(e.key, e.ms) {
 			installed++
 		}
 	}

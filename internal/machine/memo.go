@@ -14,9 +14,11 @@ package machine
 //
 // Errors are not cached: they are rare, cheap to recompute (the
 // argument checks run before the memo is consulted), and keeping them
-// out means the cache holds only validated machines.
+// out means the cache holds only validated machines. The memo is
+// bounded (internal/memo): past maxDerived a new derivation evicts an
+// arbitrary old one.
 
-import "sync"
+import "repro/internal/memo"
 
 // deriveOp names one derivation helper in the memo key.
 type deriveOp uint8
@@ -37,37 +39,19 @@ type deriveKey struct {
 }
 
 // maxDerived bounds the memo. Distinct keys come from distinct (base,
-// axis, value) triples — a bounded working set in any real process —
-// and past the bound new derivations simply build per call.
+// axis, value) triples — a bounded working set in any real process.
 const maxDerived = 4096
 
-var deriveMemo struct {
-	mu sync.Mutex
-	m  map[deriveKey]*Machine
-}
+var derivations = memo.New[deriveKey, *Machine](maxDerived, func(k deriveKey) uint64 {
+	return memo.Mix(memo.Mix(memo.Mix(memo.Offset, k.fp), uint64(k.op)), k.bits)
+})
 
-// derived memoizes one derivation: a hit returns a clone of the cached
-// variant; a miss builds it, stores a private clone, and returns the
-// built machine. The caller always owns the returned pointer.
+// derived memoizes one derivation and returns a clone of the memoized
+// machine, so the caller always owns the returned pointer.
 func derived(m *Machine, op deriveOp, bits uint64, build func() (*Machine, error)) (*Machine, error) {
-	k := deriveKey{fp: m.Fingerprint(), op: op, bits: bits}
-	deriveMemo.mu.Lock()
-	v, ok := deriveMemo.m[k]
-	deriveMemo.mu.Unlock()
-	if ok {
-		return v.Clone(), nil
-	}
-	built, err := build()
+	v, err := derivations.Get(deriveKey{fp: m.Fingerprint(), op: op, bits: bits}, build)
 	if err != nil {
 		return nil, err
 	}
-	deriveMemo.mu.Lock()
-	if deriveMemo.m == nil {
-		deriveMemo.m = make(map[deriveKey]*Machine)
-	}
-	if len(deriveMemo.m) < maxDerived {
-		deriveMemo.m[k] = built.Clone()
-	}
-	deriveMemo.mu.Unlock()
-	return built, nil
+	return v.Clone(), nil
 }

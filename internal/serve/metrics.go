@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/memo"
 )
 
 // metrics is the server's hand-rolled metrics registry: per-endpoint
 // request, error and cumulative-latency counters, rendered in the
-// Prometheus text exposition format. The engine's cache counters are
-// read live at render time rather than stored, so /metrics never lags
-// the cache.
+// Prometheus text exposition format. The engine's and the render
+// cache's stats are read live at render time rather than stored, so
+// /metrics never lags the caches.
 type metrics struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointStats
@@ -100,10 +101,10 @@ func (m *metrics) observe(endpoint string, d time.Duration, status int) {
 }
 
 // render emits the registry in the Prometheus text format, folding in
-// the engine cache and render cache counters, the readiness gauge, and
+// the engine cache and render cache stats, the readiness gauge, and
 // — when the server coordinates a fabric — the fleet's self-healing
 // stats. Endpoints are sorted so the output is stable.
-func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64, ready bool, fs *fabric.FabricStats) string {
+func (m *metrics) render(engine, render memo.Stats, ready bool, fs *fabric.FabricStats) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var b strings.Builder
@@ -130,33 +131,29 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 		fmt.Fprintf(&b, "sg2042d_request_seconds_total{endpoint=%q} %.6f\n", name, m.endpoints[name].seconds)
 	}
 
-	b.WriteString("# HELP sg2042d_engine_cache_hits_total Suite evaluations served from the engine cache.\n")
-	b.WriteString("# TYPE sg2042d_engine_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "sg2042d_engine_cache_hits_total %d\n", cacheHits)
-	b.WriteString("# HELP sg2042d_engine_cache_misses_total Suite evaluations computed on a cache miss.\n")
-	b.WriteString("# TYPE sg2042d_engine_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "sg2042d_engine_cache_misses_total %d\n", cacheMisses)
-	b.WriteString("# HELP sg2042d_engine_cache_hit_rate Fraction of suite lookups served from the cache.\n")
-	b.WriteString("# TYPE sg2042d_engine_cache_hit_rate gauge\n")
-	rate := 0.0
-	if total := cacheHits + cacheMisses; total > 0 {
-		rate = float64(cacheHits) / float64(total)
+	for _, c := range []struct {
+		name, what string
+		s          memo.Stats
+	}{
+		{"engine", "suite evaluations (engine cache)", engine},
+		{"render", "rendered responses (render cache)", render},
+	} {
+		p := "sg2042d_" + c.name + "_cache_"
+		fmt.Fprintf(&b, "# HELP %shits_total Lookups of %s served from the cache.\n", p, c.what)
+		fmt.Fprintf(&b, "# TYPE %shits_total counter\n%shits_total %d\n", p, p, c.s.Hits)
+		fmt.Fprintf(&b, "# HELP %smisses_total Lookups of %s computed on a miss.\n", p, c.what)
+		fmt.Fprintf(&b, "# TYPE %smisses_total counter\n%smisses_total %d\n", p, p, c.s.Misses)
+		rate := 0.0
+		if total := c.s.Hits + c.s.Misses; total > 0 {
+			rate = float64(c.s.Hits) / float64(total)
+		}
+		fmt.Fprintf(&b, "# HELP %shit_rate Fraction of lookups of %s served from the cache.\n", p, c.what)
+		fmt.Fprintf(&b, "# TYPE %shit_rate gauge\n%shit_rate %.6f\n", p, p, rate)
+		fmt.Fprintf(&b, "# HELP %sevictions_total Entries of %s evicted at the cap.\n", p, c.what)
+		fmt.Fprintf(&b, "# TYPE %sevictions_total counter\n%sevictions_total %d\n", p, p, c.s.Evictions)
+		fmt.Fprintf(&b, "# HELP %sentries Live entries of %s.\n", p, c.what)
+		fmt.Fprintf(&b, "# TYPE %sentries gauge\n%sentries %d\n", p, p, c.s.Entries)
 	}
-	fmt.Fprintf(&b, "sg2042d_engine_cache_hit_rate %.6f\n", rate)
-
-	b.WriteString("# HELP sg2042d_render_cache_hits_total Responses served from the rendered-body cache.\n")
-	b.WriteString("# TYPE sg2042d_render_cache_hits_total counter\n")
-	fmt.Fprintf(&b, "sg2042d_render_cache_hits_total %d\n", renderHits)
-	b.WriteString("# HELP sg2042d_render_cache_misses_total Responses rendered on a cache miss.\n")
-	b.WriteString("# TYPE sg2042d_render_cache_misses_total counter\n")
-	fmt.Fprintf(&b, "sg2042d_render_cache_misses_total %d\n", renderMisses)
-	b.WriteString("# HELP sg2042d_render_cache_hit_rate Fraction of cacheable requests served without re-rendering.\n")
-	b.WriteString("# TYPE sg2042d_render_cache_hit_rate gauge\n")
-	rrate := 0.0
-	if total := renderHits + renderMisses; total > 0 {
-		rrate = float64(renderHits) / float64(total)
-	}
-	fmt.Fprintf(&b, "sg2042d_render_cache_hit_rate %.6f\n", rrate)
 
 	b.WriteString("# HELP sg2042d_campaign_points_total Campaign grid points served (cached responses included).\n")
 	b.WriteString("# TYPE sg2042d_campaign_points_total counter\n")

@@ -3,9 +3,12 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/memo"
 )
 
 func TestMetricsRender(t *testing.T) {
@@ -14,7 +17,9 @@ func TestMetricsRender(t *testing.T) {
 	m.observe("experiment", 5*time.Millisecond, http.StatusNotFound)
 	m.observe("batch", 20*time.Millisecond, http.StatusOK)
 
-	out := m.render(30, 10, 4, 2, true, nil)
+	engine := memo.Stats{Hits: 30, Misses: 10, Evictions: 3, Entries: 7}
+	render := memo.Stats{Hits: 4, Misses: 2, Evictions: 1, Entries: 5}
+	out := m.render(engine, render, true, nil)
 	for _, want := range []string{
 		`sg2042d_requests_total{endpoint="batch"} 1`,
 		`sg2042d_requests_total{endpoint="experiment"} 2`,
@@ -23,13 +28,19 @@ func TestMetricsRender(t *testing.T) {
 		"sg2042d_engine_cache_hits_total 30",
 		"sg2042d_engine_cache_misses_total 10",
 		"sg2042d_engine_cache_hit_rate 0.750000",
+		"sg2042d_engine_cache_evictions_total 3",
+		"sg2042d_engine_cache_entries 7",
+		"sg2042d_render_cache_hits_total 4",
+		"sg2042d_render_cache_misses_total 2",
+		"sg2042d_render_cache_evictions_total 1",
+		"sg2042d_render_cache_entries 5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q\n%s", want, out)
 		}
 	}
 	// Endpoint order is sorted, so repeated renders are stable.
-	if out2 := m.render(30, 10, 4, 2, true, nil); out2 != out {
+	if out2 := m.render(engine, render, true, nil); out2 != out {
 		t.Error("render is not deterministic")
 	}
 	// batch sorts before experiment.
@@ -40,7 +51,7 @@ func TestMetricsRender(t *testing.T) {
 
 func TestMetricsZeroTraffic(t *testing.T) {
 	m := newMetrics()
-	out := m.render(0, 0, 0, 0, true, nil)
+	out := m.render(memo.Stats{}, memo.Stats{}, true, nil)
 	if !strings.Contains(out, "sg2042d_engine_cache_hit_rate 0.000000") {
 		t.Errorf("zero-traffic hit rate should render 0, got\n%s", out)
 	}
@@ -53,8 +64,65 @@ func TestStatusWriterDefaultsToOK(t *testing.T) {
 	}))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/probe", nil))
-	out := m.render(0, 0, 0, 0, true, nil)
+	out := m.render(memo.Stats{}, memo.Stats{}, true, nil)
 	if !strings.Contains(out, `sg2042d_request_errors_total{endpoint="probe"} 0`) {
 		t.Errorf("implicit 200 counted as error:\n%s", out)
+	}
+}
+
+// parseMetrics reads the sample lines of a Prometheus text exposition
+// into name{labels} -> value.
+func parseMetrics(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("malformed sample line %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// A live server's /metrics carries the uniform cache stats for both
+// caches, and they agree with the caches themselves.
+func TestMetricsExposeCacheEvictionsAndEntries(t *testing.T) {
+	s := New(Options{Parallel: 1})
+	for _, path := range []string{"/v1/experiments/table4", "/v1/experiments/table4", "/v1/experiments/figure1?format=csv"} {
+		if w := doGet(t, s, path, nil); w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, w.Code)
+		}
+	}
+	got := parseMetrics(t, doGet(t, s, "/metrics", nil).Body.String())
+	eng := s.eng.SuiteCacheStats()
+	for name, want := range map[string]float64{
+		"sg2042d_render_cache_hits_total":      1,
+		"sg2042d_render_cache_misses_total":    2,
+		"sg2042d_render_cache_evictions_total": 0,
+		"sg2042d_render_cache_entries":         2,
+		"sg2042d_engine_cache_hits_total":      float64(eng.Hits),
+		"sg2042d_engine_cache_misses_total":    float64(eng.Misses),
+		"sg2042d_engine_cache_evictions_total": 0,
+		"sg2042d_engine_cache_entries":         float64(eng.Entries),
+	} {
+		v, ok := got[name]
+		if !ok {
+			t.Errorf("/metrics lacks %s", name)
+			continue
+		}
+		if v != want {
+			t.Errorf("%s = %v, want %v", name, v, want)
+		}
+	}
+	if eng.Entries == 0 || eng.Entries != eng.Misses {
+		t.Errorf("engine cache stats %+v: every miss should have left one entry", eng)
 	}
 }

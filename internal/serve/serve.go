@@ -355,18 +355,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format: per-endpoint request/error/latency counters plus the live
-// engine cache and render cache counters (hits, misses, and the
-// derived hit rates).
+// engine cache and render cache stats (hits, misses, the derived hit
+// rates, evictions and entries).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.eng.CacheStats()
-	rhits, rmisses := s.rc.stats()
 	var fs *fabric.FabricStats
 	if s.coord != nil {
 		v := s.coord.Stats()
 		fs = &v
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, s.met.render(hits, misses, rhits, rmisses, s.ready.Load(), fs))
+	fmt.Fprint(w, s.met.render(s.eng.SuiteCacheStats(), s.rc.m.Stats(), s.ready.Load(), fs))
 }
 
 // validExperiment reports whether a canonicalized name is servable —

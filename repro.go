@@ -59,6 +59,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/prec"
@@ -92,6 +93,9 @@ type (
 	KernelSpec = kernels.Spec
 	// Class is a RAJAPerf benchmark class.
 	Class = kernels.Class
+	// MemoStats is one cache's counters: hits, misses, evictions at
+	// its cap, and live entries.
+	MemoStats = memo.Stats
 )
 
 // Precisions.
