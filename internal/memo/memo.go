@@ -20,9 +20,11 @@ import (
 	"sync/atomic"
 )
 
-// Shards is the shard count, a power of two so shard selection is a
-// mask.
-const Shards = 16
+// Shards is the shard count, a power of two so a shard is a slice of
+// the hash's bits.
+const Shards = 1 << shardBits
+
+const shardBits = 4
 
 // Stats is a Cache's counters. Hits and Misses count successful Gets,
 // served from an existing entry or filled; a Get whose fill failed
@@ -64,8 +66,14 @@ func New[K comparable, V any](capacity int, hash func(K) uint64) *Cache[K, V] {
 	return &Cache[K, V]{hash: hash, perShard: capacity / Shards}
 }
 
+// shard picks the top bits of the hash times 2^64/φ (Fibonacci
+// hashing), which depend on every bit of the hash. The hash's own bits
+// can be weak: Mix folds whole words with one multiply, which carries
+// an input bit upward only a few places, so its low bits see just the
+// inputs' low bits — all zero in, for one, the float64 bits of a
+// whole-hertz clock.
 func (c *Cache[K, V]) shard(k K) *shard[K, V] {
-	return &c.shards[c.hash(k)&(Shards-1)]
+	return &c.shards[(c.hash(k)*0x9e3779b97f4a7c15)>>(64-shardBits)]
 }
 
 // insert stores e under k, evicting an arbitrary entry first when the

@@ -3,6 +3,7 @@ package memo
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -219,5 +220,16 @@ func TestKeysSpreadOverShards(t *testing.T) {
 	}
 	if len(used) < 2 {
 		t.Fatalf("64 keys landed on %d shard(s); the hash is not spreading", len(used))
+	}
+
+	// Word keys whose low bits are all zero, like the float64 bits of
+	// whole-hertz clocks the derivation memo keys on.
+	words := New[uint64, int](Shards*1024, func(k uint64) uint64 { return Mix(Offset, k) })
+	usedWords := map[*shard[uint64, int]]bool{}
+	for i := 0; i < 64; i++ {
+		usedWords[words.shard(math.Float64bits(float64(1_000_000_000+i*100_000)))] = true
+	}
+	if len(usedWords) < Shards/2 {
+		t.Fatalf("64 clock keys landed on %d of %d shards; shard selection ignores the high bits", len(usedWords), Shards)
 	}
 }
