@@ -473,7 +473,7 @@ func (c *Coordinator) runRequest(ctx context.Context, id int, target string, spe
 
 	br := bufio.NewReader(resp.Body)
 	for {
-		t, err := readFrame(br)
+		p, err := readFrame(br)
 		if err == io.EOF {
 			send(workerMsg{reqID: id, target: target, done: true})
 			return
@@ -483,11 +483,6 @@ func (c *Coordinator) runRequest(ctx context.Context, id int, target string, spe
 			return
 		}
 		watchdog.Reset(timeout)
-		p, err := decodePoint(t)
-		if err != nil {
-			fail(err)
-			return
-		}
 		if !send(workerMsg{reqID: id, target: target, point: p}) {
 			return
 		}

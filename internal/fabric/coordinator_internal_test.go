@@ -7,11 +7,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/kernels"
+	"repro/internal/perfmodel"
+	"repro/internal/suite"
 )
 
 // fakeWorker answers the points endpoint by replaying pre-evaluated
@@ -261,5 +265,55 @@ func TestModelMismatchWorkerExcluded(t *testing.T) {
 	}
 	if coord.Membership().DeadSet()[targets[1]] {
 		t.Fatal("prober killed the matching worker")
+	}
+}
+
+// TestFingerprintModelCoversSuiteAndRecord: the fingerprint is a pure
+// function of the presets, the calibration, the kernel suite and the
+// record version. It ignores preset order, and it changes when any
+// one kernel spec field or the record version changes.
+func TestFingerprintModelCoversSuiteAndRecord(t *testing.T) {
+	machines := repro.DefaultMachineRegistry().Machines()
+	cal := perfmodel.DefaultCalibration()
+	specs := suite.All()
+	base := fingerprintModel(machines, cal, specs, pointRecordVersion)
+	if base != modelFingerprint() {
+		t.Fatalf("helper %s differs from the process fingerprint %s", base, modelFingerprint())
+	}
+	reversed := slices.Clone(machines)
+	slices.Reverse(reversed)
+	if got := fingerprintModel(reversed, cal, specs, pointRecordVersion); got != base {
+		t.Fatalf("fingerprint depends on preset order: %s vs %s", got, base)
+	}
+	if got := fingerprintModel(machines, cal, specs, pointRecordVersion+1); got == base {
+		t.Fatal("record version change kept the fingerprint")
+	}
+
+	for name, mutate := range map[string]func(*kernels.Spec){
+		"Name":          func(k *kernels.Spec) { k.Name += "x" },
+		"Class":         func(k *kernels.Spec) { k.Class++ },
+		"DefaultN":      func(k *kernels.Spec) { k.DefaultN++ },
+		"Reps":          func(k *kernels.Spec) { k.Reps++ },
+		"Regions":       func(k *kernels.Spec) { k.Regions++ },
+		"SeqOnly":       func(k *kernels.Spec) { k.SeqOnly = !k.SeqOnly },
+		"SerialFrac":    func(k *kernels.Spec) { k.SerialFrac += 0.01 },
+		"Loop.Flops":    func(k *kernels.Spec) { k.Loop.FlopsPerIter++ },
+		"Loop.Accesses": func(k *kernels.Spec) { k.Loop.Accesses[0].PerIter++ },
+		"Iters":         func(k *kernels.Spec) { f := k.Iters; k.Iters = func(n int) float64 { return f(n) + 1 } },
+		"FootprintElems": func(k *kernels.Spec) {
+			f := k.FootprintElems
+			k.FootprintElems = func(n int) float64 { return 2 * f(n) }
+		},
+	} {
+		mutated := slices.Clone(specs)
+		k := &mutated[len(mutated)/2]
+		k.Loop.Accesses = slices.Clone(k.Loop.Accesses)
+		mutate(k)
+		if got := fingerprintModel(machines, cal, mutated, pointRecordVersion); got == base {
+			t.Errorf("changing kernel %s's %s kept the fingerprint", specs[len(specs)/2].Name, name)
+		}
+	}
+	if got := fingerprintModel(machines, cal, specs, pointRecordVersion); got != base {
+		t.Fatal("mutating copies changed the shared suite")
 	}
 }

@@ -11,18 +11,19 @@
 //     worker restarted from a cache snapshot (core.RestoreCache) is
 //     warm for its own shard.
 //
-//   - The point codec (point.go): one wire frame per evaluated
+//   - The point codec (point.go): one frame per evaluated
 //     CampaignPoint. On the stream a frame is its uvarint length, a
-//     CRC-32 of the body, then the body, so points decode
-//     incrementally and damaged bytes fail the stream. Float64 fields
-//     travel as IEEE-754 bit patterns, so a point decoded from a worker
-//     is bit-identical to one evaluated locally.
+//     CRC-32 (IEEE, big-endian) of the body, then the body (the point
+//     record below), so points decode incrementally and damaged bytes
+//     fail the stream.
 //
 //   - Worker (worker.go): the HTTP handler behind sg2042d -worker. It
 //     answers POST /v1/fabric/points — a shard-scoped campaign API:
 //     the client's campaign spec plus the grid indices this worker
-//     owns — streaming one flushed frame per point as evaluation
-//     completes.
+//     owns — streaming one frame per point as evaluation completes.
+//     It flushes after each frame only when the ResponseWriter it is
+//     given is an http.Flusher; behind serve's metrics middleware it is
+//     not, so sg2042d's frames leave as net/http's buffer fills.
 //
 //   - Coordinator (coordinator.go): expands the grid, assigns each
 //     point to its ring owner, fans requests out, and emits points in
@@ -31,6 +32,24 @@
 //     misbehaves is excluded and its outstanding points re-dispatched
 //     to survivors; the campaign completes as long as one worker
 //     lives, and fails with *AllWorkersDownError once none do.
+//
+// The point record is a fixed-order body with no field names or types:
+//
+//	index                            uvarint
+//	base, machine                    uvarint length, then the bytes
+//	threads, placement, prec, cores  uvarint each
+//	total_seconds, mean_ratio        f64 each
+//	axis values                      uvarint count, then an f64 each
+//	class cells                      uvarint count (1-6), then per cell in
+//	                                 kernels.Classes order: uvarint class
+//	                                 id, f64 seconds, uvarint ratio N,
+//	                                 f64 ratio mean, min and max
+//
+// An f64 is the value's IEEE-754 bit pattern in 8 little-endian bytes,
+// so a point decoded from a worker is bit-identical to one evaluated
+// locally. The decoder checks every length against the bytes left,
+// requires strictly increasing known class ids and rejects trailing
+// bytes.
 //
 // Integrity: the model is deterministic, so two honest workers never
 // disagree about a point. What can go wrong is bytes damaged in
@@ -54,12 +73,14 @@ package fabric
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro"
+	"repro/internal/kernels"
 	"repro/internal/perfmodel"
+	"repro/internal/suite"
 )
 
 // PointsPath is the worker's shard-scoped campaign endpoint.
@@ -93,30 +114,46 @@ const ContentType = "application/vnd.sg2042.fabric-frames"
 const SnapshotContentType = "application/vnd.sg2042.cache-snapshot"
 
 // modelFingerprint identifies the performance model this build
-// evaluates: a hash over every built-in preset's Fingerprint() and the
-// perfmodel calibration constants, both in sorted key order. It is
-// computed once per process. Workers and coordinators compare it so a
-// fleet never mixes points from two different models.
+// evaluates and the point record it ships. It is computed once per
+// process. Workers and coordinators compare it so a fleet never mixes
+// points from two different models, and a worker with another record
+// layout is refused before it streams.
 var modelFingerprint = sync.OnceValue(func() string {
+	return fingerprintModel(repro.DefaultMachineRegistry().Machines(),
+		perfmodel.DefaultCalibration(), suite.All(), pointRecordVersion)
+})
+
+// fingerprintModel hashes everything a point depends on besides its
+// campaign spec: every preset's Fingerprint() in label order, the
+// calibration constants in sorted key order, every kernel spec (its
+// scalar fields, its loop IR and its iteration and footprint counts at
+// the default size) and the point record version.
+func fingerprintModel(machines []*repro.Machine, cal perfmodel.Calibration, specs []kernels.Spec, recordVersion int) string {
 	var b strings.Builder
-	machines := repro.DefaultMachineRegistry().Machines()
-	sort.Slice(machines, func(i, j int) bool { return machines[i].Label < machines[j].Label })
+	machines = slices.Clone(machines)
+	slices.SortFunc(machines, func(a, b *repro.Machine) int { return strings.Compare(a.Label, b.Label) })
 	for _, m := range machines {
 		fmt.Fprintf(&b, "%s=%016x\n", m.Label, m.Fingerprint())
 	}
 	// A round trip through a map sorts the calibration's keys at every
 	// level, struct fields included.
-	var cal map[string]any
-	raw, err := json.Marshal(perfmodel.DefaultCalibration())
+	var keyed map[string]any
+	raw, err := json.Marshal(cal)
 	if err == nil {
-		err = json.Unmarshal(raw, &cal)
+		err = json.Unmarshal(raw, &keyed)
 	}
 	if err == nil {
-		raw, err = json.Marshal(cal)
+		raw, err = json.Marshal(keyed)
 	}
 	if err != nil {
 		panic(err) // plain numbers always marshal
 	}
 	b.Write(raw)
+	for _, k := range specs {
+		fmt.Fprintf(&b, "\n%s %d %d %d %d %t %v %+v %v %v",
+			k.Name, k.Class, k.DefaultN, k.Reps, k.Regions, k.SeqOnly, k.SerialFrac,
+			k.Loop, k.Iters(k.DefaultN), k.FootprintElems(k.DefaultN))
+	}
+	fmt.Fprintf(&b, "\nrecord=%d", recordVersion)
 	return fmt.Sprintf("%016x", fnv1a(b.String()))
-})
+}

@@ -98,7 +98,7 @@ func (c *Cluster) Arm(i, frames int) { c.nodes[i].ks.arm(frames, modeAbort) }
 func (c *Cluster) Corrupt(i, frames int) { c.nodes[i].ks.arm(frames, modeCorrupt) }
 
 // Tamper makes worker i flip one bit inside the BODY of its frames-th
-// frame (1-based, counted across requests): the wire table still
+// frame (1-based, counted across requests): the point record still
 // decodes cleanly, but carries a wrong value. Only the frame's CRC can
 // see this fault; the coordinator must reject the frame and re-dispatch
 // the worker's outstanding points.
@@ -213,9 +213,10 @@ func (kw *killWriter) Write(p []byte) (int, error) {
 		return kw.ResponseWriter.Write(bad)
 	}
 	if tamper && len(p) > 0 {
-		// Flip the low bit of the frame's last byte — deep in the last
-		// column's float payload, so the frame still parses and the
-		// length prefix still matches. The silent-wrong-answer fault.
+		// Flip the low bit of the frame's last byte — an exponent bit
+		// of the last class cell's ratio max, so the record still
+		// parses and the length prefix still matches. The
+		// silent-wrong-answer fault.
 		bad := append([]byte(nil), p...)
 		bad[len(bad)-1] ^= 0x01
 		return kw.ResponseWriter.Write(bad)

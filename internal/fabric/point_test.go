@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/kernels"
+	"repro/internal/stats"
 )
 
 var testSpecJSON = []byte(`{
@@ -18,7 +21,7 @@ var testSpecJSON = []byte(`{
 	"precisions": ["f32", "f64"]
 }`)
 
-func testSpec(t *testing.T) repro.CampaignSpec {
+func testSpec(t testing.TB) repro.CampaignSpec {
 	t.Helper()
 	spec, err := repro.CampaignSpecFromJSON(testSpecJSON, nil)
 	if err != nil {
@@ -27,7 +30,7 @@ func testSpec(t *testing.T) repro.CampaignSpec {
 	return spec
 }
 
-func evalPoints(t *testing.T, spec repro.CampaignSpec) []repro.CampaignPoint {
+func evalPoints(t testing.TB, spec repro.CampaignSpec) []repro.CampaignPoint {
 	t.Helper()
 	res, err := repro.NewEngine(repro.Options{}).Campaign(spec)
 	if err != nil {
@@ -36,15 +39,15 @@ func evalPoints(t *testing.T, spec repro.CampaignSpec) []repro.CampaignPoint {
 	return res.Points
 }
 
-// TestPointCodecRoundTrip: decode(encode(p)) is bit-identical for
-// every point of a real campaign grid.
+// TestPointCodecRoundTrip: decode(encode(p)) through the record bytes
+// is bit-identical for every point of a real campaign grid.
 func TestPointCodecRoundTrip(t *testing.T) {
 	for _, p := range evalPoints(t, testSpec(t)) {
-		tab, err := encodePoint(p)
+		body, err := encodeFrame(p)
 		if err != nil {
 			t.Fatalf("point %d: %v", p.Index, err)
 		}
-		got, err := decodePoint(tab)
+		got, err := decodeFrame(body)
 		if err != nil {
 			t.Fatalf("point %d: %v", p.Index, err)
 		}
@@ -73,11 +76,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 
 	br := bufio.NewReader(bytes.NewReader(stream))
 	for i, want := range points {
-		tab, err := readFrame(br)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		got, err := decodePoint(tab)
+		got, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -119,7 +118,7 @@ func TestReadFrameRejectsHostileLengths(t *testing.T) {
 }
 
 // TestFrameRejectsEveryBitFlip: the CRC catches every single-bit
-// flip in a frame's checksum or body — including flips the wire
+// flip in a frame's checksum or body — including flips the record
 // decoder alone would accept as a different, well-formed point.
 func TestFrameRejectsEveryBitFlip(t *testing.T) {
 	body, err := encodeFrame(evalPoints(t, testSpec(t))[0])
@@ -145,6 +144,131 @@ func TestFrameRejectsEveryBitFlip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTamperedRecordStillDecodes: flipping the low bit of a body's
+// last byte, faulttest's tamper mode, leaves a well-formed record with
+// a different ratio max, so only the frame CRC can catch that fault.
+func TestTamperedRecordStillDecodes(t *testing.T) {
+	p := evalPoints(t, testSpec(t))[0]
+	body, err := encodeFrame(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[len(body)-1] ^= 0x01
+	got, err := decodeFrame(body)
+	if err != nil {
+		t.Fatalf("tampered record rejected by the decoder: %v", err)
+	}
+	if got.ByClass[kernels.Stream].Ratio.Max == p.ByClass[kernels.Stream].Ratio.Max {
+		t.Fatal("tampering left the last cell's ratio max unchanged")
+	}
+}
+
+// TestDecodeFrameRejectsMalformedRecords: the decoder refuses every
+// proper prefix of a valid record, trailing bytes, and records whose
+// counts or class ids break the layout's rules.
+func TestDecodeFrameRejectsMalformedRecords(t *testing.T) {
+	p := evalPoints(t, testSpec(t))[0]
+	body, err := encodeFrame(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(body); n++ {
+		if _, err := decodeFrame(body[:n]); err == nil {
+			t.Fatalf("prefix of %d/%d bytes accepted", n, len(body))
+		}
+	}
+	if _, err := decodeFrame(append(body[:len(body):len(body)], 0)); err == nil ||
+		!strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("trailing byte = %v, want trailing-bytes error", err)
+	}
+
+	// The cells are the record's tail: re-encode them by hand.
+	cells := len(p.ByClass)
+	head := body[:len(body)-cells*cellSize-1]
+	cell := func(id byte) []byte {
+		c := append([]byte{id}, make([]byte, 8)...)
+		return append(append(c, 1), make([]byte, 24)...)
+	}
+	join := func(parts ...[]byte) []byte {
+		return bytes.Join(append([][]byte{head}, parts...), nil)
+	}
+	if _, err := decodeFrame(join([]byte{1}, cell(0))); err != nil {
+		t.Fatalf("hand-built record rejected: %v", err)
+	}
+	for name, bad := range map[string][]byte{
+		"no cells":          join([]byte{0}),
+		"seven cells":       join([]byte{7}, bytes.Repeat(cell(0), 7)),
+		"repeated class":    join([]byte{2}, cell(3), cell(3)),
+		"decreasing class":  join([]byte{2}, cell(3), cell(2)),
+		"unknown class":     join([]byte{1}, cell(6)),
+		"count past end":    join([]byte{2}, cell(0)),
+		"huge count":        join([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}),
+		"overlong uvarint":  join(bytes.Repeat([]byte{0xFF}, 10)),
+		"huge string":       {0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		"index past MaxInt": {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+	} {
+		if _, err := decodeFrame(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestEncodeFrameRejectsUnencodablePoints: a point the record cannot
+// carry is an encode error, not a record the decoder would refuse.
+func TestEncodeFrameRejectsUnencodablePoints(t *testing.T) {
+	base := evalPoints(t, testSpec(t))[0]
+	for name, mutate := range map[string]func(*repro.CampaignPoint){
+		"no cells":       func(p *repro.CampaignPoint) { p.ByClass = nil },
+		"unknown class":  func(p *repro.CampaignPoint) { p.ByClass[kernels.Class(len(kernels.Classes))] = repro.CampaignCell{} },
+		"negative index": func(p *repro.CampaignPoint) { p.Index = -1 },
+		"negative cores": func(p *repro.CampaignPoint) { p.Cores = -1 },
+		"negative N": func(p *repro.CampaignPoint) {
+			p.ByClass[kernels.Stream] = repro.CampaignCell{Ratio: stats.Summary{N: -1}}
+		},
+	} {
+		p := base
+		p.ByClass = maps.Clone(base.ByClass)
+		mutate(&p)
+		if _, err := encodeFrame(p); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+}
+
+// FuzzDecodePoint: the record decoder never panics, and whatever it
+// accepts re-encodes canonically — e1 = encode(decode(b)) encodes to
+// itself through another decode.
+func FuzzDecodePoint(f *testing.F) {
+	for _, p := range evalPoints(f, testSpec(f)) {
+		body, err := encodeFrame(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := decodeFrame(b)
+		if err != nil {
+			return
+		}
+		e1, err := encodeFrame(p)
+		if err != nil {
+			t.Fatalf("decoded point does not encode: %v", err)
+		}
+		q, err := decodeFrame(e1)
+		if err != nil {
+			t.Fatalf("re-encoded record rejected: %v", err)
+		}
+		e2, err := encodeFrame(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(e1, e2) {
+			t.Fatalf("re-encoding is not stable:\n%x\n%x", e1, e2)
+		}
+	})
 }
 
 // mixKey spreads sequential integers over the full 64-bit space, like

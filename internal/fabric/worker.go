@@ -59,8 +59,9 @@ func NewWorker(eng *repro.Engine, reg *repro.MachineRegistry) *Worker {
 }
 
 // ServeHTTP answers POST /v1/fabric/points, streaming one frame per
-// evaluated point, flushed as soon as the point completes (completion
-// order, not grid order — the coordinator owns ordering). Spec, model
+// evaluated point in completion order, not grid order — the
+// coordinator owns ordering. It flushes each frame only if w is an
+// http.Flusher, which serve's metrics middleware is not. Spec, model
 // and index validation happen before the first frame, so protocol
 // errors are clean JSON with a real status code; a failure after
 // streaming starts tears the stream, which the coordinator treats like
@@ -124,7 +125,7 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	flusher, _ := w.(http.Flusher)
 
-	// A few frames of slack let evaluation run ahead of a slow flush
+	// A few frames of slack let evaluation run ahead of a slow write
 	// while holding at most a few KB per request.
 	frames := make(chan []byte, 16)
 	stop := make(chan struct{})

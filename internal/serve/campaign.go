@@ -218,11 +218,13 @@ func (s *Server) writeCampaignError(w http.ResponseWriter, err error) {
 const fleetDownRetryAfter = "5"
 
 // campaignNDJSON serves the streaming form. The first request for a
-// grid renders live — each point line is written and flushed as the
-// engine finishes it, in grid order — while teeing the bytes into the
-// render cache; repeat requests (and concurrent requests that lost the
+// grid renders live — each point line is written as the engine
+// finishes it, in grid order — while teeing the bytes into the render
+// cache; repeat requests (and concurrent requests that lost the
 // singleflight race) serve the cached body, byte-identical to the
-// stream.
+// stream. Lines are not flushed one by one: the metrics middleware's
+// statusWriter hides http.Flusher, so they leave as net/http's buffer
+// fills.
 func (s *Server) campaignNDJSON(w http.ResponseWriter, r *http.Request, spec repro.CampaignSpec, raw []byte, points int) {
 	streamed := false
 	ent, err := s.rc.get(campaignRenderKey(spec, formatNDJSON), func() ([]byte, string, error) {

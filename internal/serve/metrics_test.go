@@ -126,3 +126,51 @@ func TestMetricsExposeCacheEvictionsAndEntries(t *testing.T) {
 		t.Errorf("engine cache stats %+v: every miss should have left one entry", eng)
 	}
 }
+
+// TestSuiteCacheBoundedUnderSpecStorm: distinct inline-spec campaigns,
+// POSTed until more distinct suite evaluations have run than the
+// suite cache may hold, leave a live /metrics showing the cache at or
+// under its cap and evicting.
+func TestSuiteCacheBoundedUnderSpecStorm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs more than 65,536 suite evaluations")
+	}
+	const suiteCacheCap = 1 << 16
+	s := New(Options{Parallel: 2})
+	spec := doGet(t, s, "/v1/machines/SG2042", nil).Body.String()
+	cores := make([]string, 16)
+	for i := range cores {
+		cores[i] = strconv.Itoa(4 * (i + 1))
+	}
+	campaigns := 0
+	for s.eng.SuiteCacheStats().Misses <= suiteCacheCap {
+		// 128 clocks x 16 core counts x 2 placements x 2 precisions is
+		// 8192 points; every campaign's clocks are new, so every point
+		// is a new suite evaluation.
+		clocks := make([]string, 128)
+		for i := range clocks {
+			clocks[i] = strconv.FormatFloat(1+float64(campaigns*len(clocks)+i)/1000, 'f', -1, 64)
+		}
+		inline := strings.Replace(spec, `"label": "SG2042"`, `"label": "storm`+strconv.Itoa(campaigns)+`"`, 1)
+		body := `{"specs": [` + inline + `], "axes": [` +
+			`{"axis": "clock", "values": [` + strings.Join(clocks, ",") + `]}, ` +
+			`{"axis": "cores", "values": [` + strings.Join(cores, ",") + `]}], ` +
+			`"placements": ["block", "cyclic"], "precisions": ["f32", "f64"]}`
+		req := httptest.NewRequest(http.MethodPost, "/v1/campaign?format=csv", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("campaign %d: status %d: %.300s", campaigns, rec.Code, rec.Body.String())
+		}
+		campaigns++
+	}
+	got := parseMetrics(t, doGet(t, s, "/metrics", nil).Body.String())
+	entries, evictions := got["sg2042d_engine_cache_entries"], got["sg2042d_engine_cache_evictions_total"]
+	if entries > suiteCacheCap {
+		t.Errorf("after %d campaigns the suite cache holds %v entries, cap %d", campaigns, entries, suiteCacheCap)
+	}
+	if evictions <= 0 {
+		t.Errorf("after %d campaigns the suite cache evicted %v entries, want some", campaigns, evictions)
+	}
+	t.Logf("%d campaigns: %+v", campaigns, s.eng.SuiteCacheStats())
+}
