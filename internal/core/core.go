@@ -159,7 +159,8 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
 				Seconds: sum / float64(runs)}
 		}
 	} else {
-		rng := rand.New(rand.NewSource(seed))
+		rng := noiseRandPool.Get().(*rand.Rand)
+		rng.Seed(seed)
 		for i := range specs {
 			sum := 0.0
 			for r := 0; r < runs; r++ {
@@ -168,6 +169,7 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
 			out[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class,
 				Seconds: sum / float64(runs)}
 		}
+		noiseRandPool.Put(rng)
 	}
 	*buf = bds
 	breakdownPool.Put(buf)

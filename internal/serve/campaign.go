@@ -246,7 +246,8 @@ func (s *Server) campaignNDJSON(w http.ResponseWriter, r *http.Request, spec rep
 	}
 	s.met.addCampaign(points, true)
 	// The replay is an ordinary cached body: ETag, gzip and Vary come
-	// from the shared path (conditional 304s stay GET/HEAD-only).
+	// from the shared path, which builds the ETag and gzip form on this
+	// first replay (conditional 304s stay GET/HEAD-only).
 	serveRendered(w, r, ent)
 }
 

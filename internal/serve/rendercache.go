@@ -4,14 +4,15 @@ package serve
 // determinism contract (docs/ARCHITECTURE.md) guarantees that one
 // (experiment|report|sweep, machine, format) tuple always renders to
 // the same bytes — so the server can cache entire response bodies, not
-// just the suite evaluations behind them. Each entry stores the
-// rendered body, a precomputed strong ETag over it, and (for bodies
-// worth compressing) a gzip form built once with a pooled writer.
-// Repeat GETs cost a map lookup and one write; conditional requests
-// (If-None-Match) cost a 304 with no body at all. The cache is an
-// internal/memo instance, so concurrent first requests coalesce exactly
-// like the engine's suite cache. docs/PERFORMANCE.md documents the
-// semantics.
+// just the suite evaluations behind them. A fill stores only the
+// rendered body and its content type; the strong ETag over it and (for
+// bodies worth compressing) a gzip form are built on the first replay
+// that needs them, once per entry, so a body that is rendered and
+// never replayed costs no hashing or compression. Repeat GETs cost a
+// map lookup and one write; conditional requests (If-None-Match) cost a
+// 304 with no body at all. The cache is an internal/memo instance, so
+// concurrent first requests coalesce exactly like the engine's suite
+// cache. docs/PERFORMANCE.md documents the semantics.
 
 import (
 	"bytes"
@@ -42,11 +43,17 @@ type renderKey struct {
 	format  format
 }
 
-// renderEntry is one immutable cached rendering.
+// renderEntry is one cached rendering. body and ctype never change;
+// the other representations are derived from body on first use, each
+// under its own sync.Once, so concurrent replays share one computation.
 type renderEntry struct {
 	body  []byte
 	ctype string
-	etag  string // strong ETag over body
+
+	etagOnce sync.Once
+	etag     string // strong ETag over body
+
+	gzipOnce sync.Once
 	// gzipped/etagGzip are set when compression pays; the gzip
 	// representation gets its own ETag ("...-gzip"), nginx-style, so
 	// each representation revalidates against the exact bytes it serves.
@@ -92,7 +99,7 @@ func (c *renderCache) get(k renderKey, fill func() (body []byte, ctype string, e
 		if err != nil {
 			return nil, err
 		}
-		return newRenderEntry(body, ctype), nil
+		return &renderEntry{body: body, ctype: ctype}, nil
 	})
 }
 
@@ -110,9 +117,9 @@ func (c *renderCache) size() int { return int(c.m.Stats().Entries) }
 // cheap to send anyway.
 const gzipMinSize = 512
 
-// gzipPool recycles gzip writers across cache fills — each Reset
-// reuses the writer's internal deflate state instead of reallocating
-// its ~1.4MB of window buffers.
+// gzipPool recycles gzip writers across entries — each Reset reuses
+// the writer's internal deflate state instead of reallocating its
+// ~1.4MB of window buffers.
 var gzipPool = sync.Pool{
 	New: func() any {
 		w, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
@@ -120,31 +127,44 @@ var gzipPool = sync.Pool{
 	},
 }
 
-func newRenderEntry(body []byte, ctype string) *renderEntry {
-	sum := sha256.Sum256(body)
-	tag := hex.EncodeToString(sum[:16])
-	e := &renderEntry{
-		body:  body,
-		ctype: ctype,
-		etag:  `"` + tag + `"`,
-	}
-	if len(body) >= gzipMinSize {
+// identityETag returns the strong ETag over the body, hashing it on
+// the first call.
+func (e *renderEntry) identityETag() string {
+	e.etagOnce.Do(func() {
+		sum := sha256.Sum256(e.body)
+		e.etag = `"` + hex.EncodeToString(sum[:16]) + `"`
+	})
+	return e.etag
+}
+
+// gzipForm returns the gzip representation and its ETag, compressing
+// the body on the first call; nil when the body is under gzipMinSize
+// or gzip does not shrink it (the identity body is served instead).
+func (e *renderEntry) gzipForm() ([]byte, string) {
+	e.gzipOnce.Do(func() {
+		if len(e.body) < gzipMinSize {
+			return
+		}
 		var buf bytes.Buffer
 		zw := gzipPool.Get().(*gzip.Writer)
 		zw.Reset(&buf)
-		zw.Write(body)
-		if err := zw.Close(); err == nil && buf.Len() < len(body) {
-			e.gzipped = buf.Bytes()
-			e.etagGzip = `"` + tag + `-gzip"`
+		_, err := zw.Write(e.body)
+		if cerr := zw.Close(); err == nil {
+			err = cerr
 		}
 		gzipPool.Put(zw)
-	}
-	return e
+		if err == nil && buf.Len() < len(e.body) {
+			tag := e.identityETag()
+			e.gzipped = buf.Bytes()
+			e.etagGzip = tag[:len(tag)-1] + `-gzip"`
+		}
+	})
+	return e.gzipped, e.etagGzip
 }
 
 // serveRendered writes a cached entry: a 304 when the client already
-// holds the representation, the stored gzip bytes when the client
-// accepts them, the identity body otherwise.
+// holds the representation, the gzip bytes when the client accepts
+// them and compression pays, the identity body otherwise.
 func serveRendered(w http.ResponseWriter, r *http.Request, ent *renderEntry) {
 	h := w.Header()
 	// These responses are negotiated from request headers (the body
@@ -153,9 +173,14 @@ func serveRendered(w http.ResponseWriter, r *http.Request, ent *renderEntry) {
 	// those caches which headers select the representation.
 	h.Add("Vary", "Accept")
 	h.Add("Vary", "Accept-Encoding")
-	body, etag, enc := ent.body, ent.etag, ""
-	if ent.gzipped != nil && acceptsGzip(r) {
-		body, etag, enc = ent.gzipped, ent.etagGzip, "gzip"
+	body, etag, enc := ent.body, "", ""
+	if acceptsGzip(r) {
+		if gz, gzTag := ent.gzipForm(); gz != nil {
+			body, etag, enc = gz, gzTag, "gzip"
+		}
+	}
+	if enc == "" {
+		etag = ent.identityETag()
 	}
 	h.Set("ETag", etag)
 	// RFC 9110 defines the 304 answer to If-None-Match for GET/HEAD

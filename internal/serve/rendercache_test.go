@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -134,6 +137,146 @@ func TestSmallBodiesNotGzipped(t *testing.T) {
 	gz := doGet(t, s, "/v1/experiments/table4?format=csv", map[string]string{"Accept-Encoding": "gzip"})
 	if gz.Header().Get("Content-Encoding") != "" {
 		t.Errorf("sub-threshold body compressed (%dB)", w.Body.Len())
+	}
+}
+
+// postNDJSON posts campaignBody for the NDJSON stream, in process.
+func postNDJSON(s *Server, hdr map[string]string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/campaign?format=ndjson", strings.NewReader(campaignBody))
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	return w
+}
+
+// inflate gunzips a response body.
+func inflate(t *testing.T, body io.Reader) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A streamed cold campaign fills the cache with the body alone: no
+// ETag and no gzip form are built until a replay asks for them. The
+// first gzip replay then compresses exactly the streamed bytes, under
+// the identity tag's -gzip form, and that tag revalidates.
+func TestRenderEntryBuiltOnFirstReplay(t *testing.T) {
+	s := New(Options{Parallel: 1})
+	live := postNDJSON(s, map[string]string{"Accept-Encoding": "gzip"})
+	if live.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", live.Code, live.Body)
+	}
+	if enc := live.Header().Get("Content-Encoding"); enc != "" {
+		t.Errorf("streamed response encoded %q", enc)
+	}
+	if tag := live.Header().Get("ETag"); tag != "" {
+		t.Errorf("streamed response carries ETag %q", tag)
+	}
+	var ents []*renderEntry
+	s.rc.m.Range(func(k renderKey, e *renderEntry) {
+		if k.format == formatNDJSON {
+			ents = append(ents, e)
+		}
+	})
+	if len(ents) != 1 {
+		t.Fatalf("%d NDJSON cache entries, want 1", len(ents))
+	}
+	ent := ents[0]
+	if !bytes.Equal(ent.body, live.Body.Bytes()) {
+		t.Fatal("cached body differs from the streamed bytes")
+	}
+	if ent.gzipped != nil || ent.etagGzip != "" || ent.etag != "" {
+		t.Fatal("the fill built an ETag or gzip form")
+	}
+
+	gz := postNDJSON(s, map[string]string{"Accept-Encoding": "gzip"})
+	if gz.Header().Get("Content-Encoding") != "gzip" {
+		t.Fatalf("first gzip replay encoded %q, want gzip", gz.Header().Get("Content-Encoding"))
+	}
+	tag := gz.Header().Get("ETag")
+	if want := strings.TrimSuffix(ent.identityETag(), `"`) + `-gzip"`; tag != want {
+		t.Errorf("gzip replay ETag %q, want %q", tag, want)
+	}
+	if !bytes.Equal(inflate(t, gz.Body), live.Body.Bytes()) {
+		t.Error("gzip replay does not inflate to the streamed bytes")
+	}
+
+	// Conditional POSTs always get the body (RFC 9110), so revalidate
+	// the entry the way a GET endpoint does.
+	req := httptest.NewRequest(http.MethodGet, "/v1/campaign", nil)
+	req.Header.Set("Accept-Encoding", "gzip")
+	req.Header.Set("If-None-Match", tag)
+	w := httptest.NewRecorder()
+	serveRendered(w, req, ent)
+	if w.Code != http.StatusNotModified || w.Body.Len() != 0 {
+		t.Errorf("gzip revalidation: status %d with %dB, want a bodyless 304", w.Code, w.Body.Len())
+	}
+}
+
+// Concurrent first gzip replays share one compression: every caller
+// gets the same backing slice and tag.
+func TestConcurrentGzipReplaysShareOneForm(t *testing.T) {
+	ent := &renderEntry{body: []byte(strings.Repeat("figure1,SG2042,1.25\n", 200)), ctype: "text/csv"}
+	const n = 16
+	forms := make([][]byte, n)
+	tags := make([]string, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			forms[i], tags[i] = ent.gzipForm()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if forms[0] == nil {
+		t.Fatal("compressible body got no gzip form")
+	}
+	for i := 1; i < n; i++ {
+		if &forms[i][0] != &forms[0][0] || len(forms[i]) != len(forms[0]) || tags[i] != tags[0] {
+			t.Fatalf("replay %d got its own gzip form", i)
+		}
+	}
+}
+
+// Bodies under gzipMinSize and bodies gzip does not shrink are served
+// as identity, with the identity ETag, to gzip-accepting clients.
+func TestUncompressedBodiesStayIdentity(t *testing.T) {
+	noise := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(noise)
+	for name, body := range map[string][]byte{
+		"small":          bytes.Repeat([]byte("a"), gzipMinSize-1),
+		"incompressible": noise,
+	} {
+		ent := &renderEntry{body: body, ctype: "application/octet-stream"}
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		req.Header.Set("Accept-Encoding", "gzip")
+		w := httptest.NewRecorder()
+		serveRendered(w, req, ent)
+		if enc := w.Header().Get("Content-Encoding"); enc != "" {
+			t.Errorf("%s: encoded %q", name, enc)
+		}
+		if tag := w.Header().Get("ETag"); tag != ent.identityETag() || strings.HasSuffix(tag, `-gzip"`) {
+			t.Errorf("%s: ETag %q, want the identity tag %q", name, tag, ent.identityETag())
+		}
+		if !bytes.Equal(w.Body.Bytes(), body) {
+			t.Errorf("%s: body differs", name)
+		}
+		if gz, _ := ent.gzipForm(); gz != nil {
+			t.Errorf("%s: entry kept a gzip form", name)
+		}
 	}
 }
 

@@ -84,9 +84,10 @@ type Server struct {
 	reg *repro.MachineRegistry
 	met *metrics
 	mux *http.ServeMux
-	// rc caches fully rendered response bodies (with precomputed ETags
-	// and gzip forms): the engine is deterministic, so a repeat request
-	// for the same rendering never re-renders — see rendercache.go.
+	// rc caches fully rendered response bodies (with ETags and gzip
+	// forms built on first replay): the engine is deterministic, so a
+	// repeat request for the same rendering never re-renders — see
+	// rendercache.go.
 	rc *renderCache
 	// ready gates /healthz: false from New until the prewarm pass
 	// completes (immediately true when Options.Prewarm is unset).
@@ -225,9 +226,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // negotiation: ?format=text|csv|json wins, else the Accept header
 // decides, else text. "all" is accepted and concatenates every
 // experiment, exactly like cmd/sg2042sim -exp all. Renderings are
-// served from the response cache: the body bytes, ETag and gzip form
-// are computed once per (name, format) and repeat requests — or 304s
-// for revalidations — cost no rendering at all.
+// served from the response cache: the body bytes are rendered once per
+// (name, format), the ETag and gzip form once on the first replay that
+// needs them, and repeat requests — or 304s for revalidations — cost no
+// rendering at all.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	name := strings.ToLower(strings.TrimSpace(r.PathValue("name")))
 	format, err := negotiate(r)
