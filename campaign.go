@@ -44,6 +44,10 @@ type CampaignResult = core.CampaignResult
 // MaxCampaignPoints bounds the expanded grid.
 const MaxCampaignPoints = core.MaxCampaignPoints
 
+// MaxSpecBytes bounds a client's JSON request body on the HTTP
+// surfaces: a campaign, sweep or machine spec, or an experiment batch.
+const MaxSpecBytes = 1 << 20
+
 // Campaign evaluates a multi-axis campaign on the engine's shared
 // study. Points fan out over the engine's worker pool and memoize in
 // the same config-keyed cache experiments and sweeps use, so serial,

@@ -99,7 +99,8 @@ func (st *Study) suiteKeyFP(cfg perfmodel.Config, fp uint64) suiteKey {
 // entries a long campaign benchmark round holds, so no benchmark
 // workload evicts; what it defends against is the client-controlled
 // key space — every distinct machine an inline sweep spec or a float
-// campaign axis derives adds entries of ~2.3 KB each.
+// campaign axis derives adds entries of ~1 KB of heap each (512 B of
+// seconds plus the key and the memo's bookkeeping).
 const maxSuiteEntries = 1 << 16
 
 // suiteKeyHash mixes the key's discriminating fields with FNV-1a. The

@@ -31,9 +31,9 @@ func TestRunSuiteMemoized(t *testing.T) {
 	}
 	// The cache must hand out independent copies: mutating a result
 	// must not poison later lookups.
-	b[0].Seconds = -1
+	b[0] = -1
 	c, _ := st.RunSuite(cfg)
-	if c[0].Seconds == -1 {
+	if c[0] == -1 {
 		t.Error("cache returned aliased slice")
 	}
 }
@@ -44,9 +44,9 @@ func TestCachedMatchesUncached(t *testing.T) {
 	uncached.NoCache = true
 	for _, cfg := range []struct {
 		name string
-		c    func() ([]Measurement, []Measurement, error)
+		c    func() ([]float64, []float64, error)
 	}{
-		{"sg-f32", func() ([]Measurement, []Measurement, error) {
+		{"sg-f32", func() ([]float64, []float64, error) {
 			cfg := sgConfig(8, placement.CyclicNUMA, prec.F32)
 			a, err := cached.RunSuite(cfg)
 			if err != nil {
@@ -55,7 +55,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 			b, err := uncached.RunSuite(cfg)
 			return a, b, err
 		}},
-		{"x86-f64", func() ([]Measurement, []Measurement, error) {
+		{"x86-f64", func() ([]float64, []float64, error) {
 			cfg := mustMachineCfg(machine.EPYC7742(), 64, prec.F64)
 			a, err := cached.RunSuite(cfg)
 			if err != nil {
@@ -265,7 +265,7 @@ func TestSuiteCacheShardedStress(t *testing.T) {
 			}
 		}
 	}
-	want := make([][]Measurement, len(cfgs))
+	want := make([][]float64, len(cfgs))
 	for i, cfg := range cfgs {
 		ms, err := serial.RunSuite(cfg)
 		if err != nil {
@@ -317,10 +317,10 @@ func TestSuiteCacheShardedStress(t *testing.T) {
 // every shard fills.
 func TestSuiteCacheBounded(t *testing.T) {
 	st := NewStudy()
-	ms := []Measurement{{Kernel: "k", Seconds: 1}}
+	secs := []float64{1}
 	const n = maxSuiteEntries + 100
 	for i := 0; i < n; i++ {
-		if !st.cache.Add(suiteKey{machine: "synthetic", machineFP: uint64(i), runs: 1}, ms) {
+		if !st.cache.Add(suiteKey{machine: "synthetic", machineFP: uint64(i), runs: 1}, secs) {
 			t.Fatalf("Add %d refused a new key", i)
 		}
 	}

@@ -218,8 +218,9 @@ type CampaignPoint struct {
 	// MeanRatio is the grand mean of the per-class mean ratios against
 	// the base — the ranking key.
 	MeanRatio float64
-	// ByClass holds the per-class cells.
-	ByClass map[kernels.Class]CampaignCell
+	// ByClass holds the per-class cells, indexed by class
+	// (kernels.Classes order).
+	ByClass [kernels.NumClasses]CampaignCell
 }
 
 // CampaignResult is an evaluated campaign: every point in grid order
@@ -261,19 +262,12 @@ func campaignConfig(m *machine.Machine, threads int, pol placement.Policy, p pre
 // and its base under the same software configuration, both through the
 // memoized suite cache — and builds the point template every grid
 // point of the unit shares (Index is patched per point at fan-out; the
-// Values slice and ByClass map are shared read-only).
-//
-// The aggregation is the positional form of the Ratios/ClassSummaries
-// pipeline the naive path used: ratios and per-class groups are read
-// off measurement positions (suite order, the order the map-based path
-// iterated in anyway), so every float operation happens on the same
-// values in the same order and the template is bit-identical — without
-// the two name-keyed maps and per-class append-grown slices per point.
+// Values slice is shared read-only).
 func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error) {
 	pc := &plan.configs[u.cfg]
 	bc := &plan.configs[u.baseCfg]
 	cfg := campaignConfig(pc.m, pc.threads, pc.pol, pc.p)
-	ms, err := st.runSuiteShared(cfg, st.suiteKeyFP(cfg, pc.fp))
+	secs, err := st.runSuiteShared(cfg, st.suiteKeyFP(cfg, pc.fp))
 	if err != nil {
 		return CampaignPoint{}, err
 	}
@@ -282,53 +276,24 @@ func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error)
 	if err != nil {
 		return CampaignPoint{}, err
 	}
+	cells, err := classCells(base, secs)
+	if err != nil {
+		return CampaignPoint{}, err
+	}
 	cb := &plan.combos[u.combo]
 	p := CampaignPoint{
 		Index: -1, Base: bc.m.Label, Machine: pc.m.Label, Values: cb.values,
 		Threads: cfg.Threads, Placement: pc.pol, Prec: pc.p, Cores: pc.m.Cores,
-		ByClass: make(map[kernels.Class]CampaignCell, len(kernels.Classes)),
+		ByClass: cells,
 	}
-	// Scratch lives in stack arrays (the suite is 64 kernels; a custom
-	// subset larger than that falls back to the heap) — the per-point
-	// ratio and per-class slices were the naive path's hottest allocs.
-	var ratiosArr, secsArr, ratsArr [64]float64
-	ratios := ratiosArr[:0]
-	if len(ms) > len(ratiosArr) {
-		ratios = make([]float64, 0, len(ms))
+	for _, s := range secs {
+		p.TotalSeconds += s
 	}
-	for i := range ms {
-		if ms[i].Seconds <= 0 {
-			return CampaignPoint{}, fmt.Errorf("core: kernel %s has non-positive time", ms[i].Kernel)
-		}
-		ratios = append(ratios, base[i].Seconds/ms[i].Seconds)
-		p.TotalSeconds += ms[i].Seconds
-	}
-	pos := classPositions()
-	sum, n := 0.0, 0
-	for ci, class := range kernels.Classes {
-		idxs := pos[ci]
-		if len(idxs) == 0 {
-			continue
-		}
-		secs, rats := secsArr[:0], ratsArr[:0]
-		for _, k := range idxs {
-			if k >= len(ms) {
-				continue
-			}
-			secs = append(secs, ms[k].Seconds)
-			rats = append(rats, ratios[k])
-		}
-		if len(secs) == 0 {
-			continue
-		}
-		cell := CampaignCell{Seconds: stats.Mean(secs), Ratio: stats.Summarize(rats)}
-		p.ByClass[class] = cell
+	sum := 0.0
+	for _, cell := range cells {
 		sum += cell.Ratio.Mean
-		n++
 	}
-	if n > 0 {
-		p.MeanRatio = sum / float64(n)
-	}
+	p.MeanRatio = sum / float64(kernels.NumClasses)
 	return p, nil
 }
 
@@ -548,20 +513,17 @@ func rankByMeanRatio(points []CampaignPoint) []int {
 // time.
 func bestByClass(points []CampaignPoint) map[kernels.Class]int {
 	out := make(map[kernels.Class]int)
+	if len(points) == 0 {
+		return out
+	}
 	for _, class := range kernels.Classes {
-		best := -1
-		for i, p := range points {
-			cell, ok := p.ByClass[class]
-			if !ok {
-				continue
-			}
-			if best < 0 || cell.Seconds < points[best].ByClass[class].Seconds {
+		best := 0
+		for i := range points {
+			if points[i].ByClass[class].Seconds < points[best].ByClass[class].Seconds {
 				best = i
 			}
 		}
-		if best >= 0 {
-			out[class] = best
-		}
+		out[class] = best
 	}
 	return out
 }

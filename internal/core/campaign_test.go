@@ -105,7 +105,7 @@ func TestCampaignSummaries(t *testing.T) {
 		}
 		bestSecs := res.Points[best].ByClass[class].Seconds
 		for _, p := range res.Points {
-			if cell, ok := p.ByClass[class]; ok && cell.Seconds < bestSecs {
+			if cell := p.ByClass[class]; cell.Seconds < bestSecs {
 				t.Errorf("class %v: point %d (%.3g s) beats recorded best %d (%.3g s)",
 					class, p.Index, cell.Seconds, best, bestSecs)
 			}

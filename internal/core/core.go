@@ -58,14 +58,14 @@ type Study struct {
 	// experiment constructors that need the same configuration share
 	// one evaluation. It is shared between a Study and its WithWorkers
 	// views; a zero-literal Study has none and evaluates uncached.
-	cache *memo.Cache[suiteKey, []Measurement]
+	cache *memo.Cache[suiteKey, []float64]
 }
 
 // NewStudy returns a Study with the paper's defaults: five runs with a
 // small seeded measurement noise, serial evaluation.
 func NewStudy() *Study {
 	return &Study{Model: perfmodel.New(), Runs: 5, Noise: 0.01, Seed: 42,
-		cache: memo.New[suiteKey, []Measurement](maxSuiteEntries, suiteKeyHash)}
+		cache: memo.New[suiteKey, []float64](maxSuiteEntries, suiteKeyHash)}
 }
 
 // WithWorkers returns a view of st evaluating under a different worker
@@ -78,52 +78,43 @@ func (st *Study) WithWorkers(workers int) *Study {
 	return &v
 }
 
-// Measurement is one kernel's averaged time under one configuration.
-type Measurement struct {
-	Kernel  string
-	Class   kernels.Class
-	Seconds float64
-}
-
 // RunSuite measures every kernel under cfg, averaging Runs noisy
-// evaluations. Results are memoized per canonicalized configuration
-// (unless NoCache is set); noise is seeded from the configuration, so
-// cached and freshly evaluated results are bit-identical.
-func (st *Study) RunSuite(cfg perfmodel.Config) ([]Measurement, error) {
+// evaluations, and returns the mean seconds in suite.All() order:
+// element i is the time of suite.All()[i]. Results are memoized per
+// canonicalized configuration (unless NoCache is set); noise is seeded
+// from the configuration, so cached and freshly evaluated results are
+// bit-identical.
+func (st *Study) RunSuite(cfg perfmodel.Config) ([]float64, error) {
 	if st.NoCache || st.cache == nil {
 		return st.runSuiteUncached(cfg)
 	}
-	ms, err := st.runSuiteShared(cfg, st.suiteKeyFor(cfg))
+	secs, err := st.runSuiteShared(cfg, st.suiteKeyFor(cfg))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Measurement, len(ms))
-	copy(out, ms)
-	return out, nil
+	return append([]float64(nil), secs...), nil
 }
 
 // runSuiteShared is RunSuite without the defensive copy-out: it returns
-// the cache's own measurement slice, which the caller must treat as
-// read-only. The campaign planner reads each configuration's
-// measurements positionally (suite order) without mutating them, so the
-// per-point 64-measurement copies RunSuite pays are pure waste there.
-// key must be st.suiteKeyFor(cfg) (or suiteKeyFP with the machine's
-// fingerprint).
-func (st *Study) runSuiteShared(cfg perfmodel.Config, key suiteKey) ([]Measurement, error) {
+// the cache's own slice, which the caller must treat as read-only. The
+// campaign planner only reads it, so the per-configuration copy
+// RunSuite pays is pure waste there. key must be st.suiteKeyFor(cfg)
+// (or suiteKeyFP with the machine's fingerprint).
+func (st *Study) runSuiteShared(cfg perfmodel.Config, key suiteKey) ([]float64, error) {
 	if st.NoCache || st.cache == nil {
 		return st.runSuiteUncached(cfg)
 	}
-	return st.cache.Get(key, func() ([]Measurement, error) { return st.runSuiteUncached(cfg) })
+	return st.cache.Get(key, func() ([]float64, error) { return st.runSuiteUncached(cfg) })
 }
 
 // breakdownPool recycles the per-configuration Breakdown buffer: the
-// model's intermediate terms are consumed immediately into Measurements
-// and never escape a single runSuiteUncached call.
+// model's intermediate terms are consumed immediately into seconds and
+// never escape a single runSuiteUncached call.
 var breakdownPool = sync.Pool{
 	New: func() any { b := make([]perfmodel.Breakdown, 0, 64); return &b },
 }
 
-func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
+func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]float64, error) {
 	specs := suite.All()
 	// Compiled evaluation: one plan per configuration, so the
 	// placement/sharing analysis and the per-spec invariants are
@@ -139,7 +130,7 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
 	}
 	buf := breakdownPool.Get().(*[]perfmodel.Breakdown)
 	bds := plan.Times(*buf)
-	out := make([]Measurement, len(specs))
+	out := make([]float64, len(specs))
 	runs := st.Runs
 	if runs < 1 {
 		runs = 1
@@ -155,8 +146,7 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
 				sum += bds[i].Seconds * (1 + st.Noise*draws[k])
 				k++
 			}
-			out[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class,
-				Seconds: sum / float64(runs)}
+			out[i] = sum / float64(runs)
 		}
 	} else {
 		rng := noiseRandPool.Get().(*rand.Rand)
@@ -166,8 +156,7 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
 			for r := 0; r < runs; r++ {
 				sum += bds[i].Seconds * (1 + st.Noise*rng.NormFloat64())
 			}
-			out[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class,
-				Seconds: sum / float64(runs)}
+			out[i] = sum / float64(runs)
 		}
 		noiseRandPool.Put(rng)
 	}
@@ -194,45 +183,52 @@ func configSeed(cfg perfmodel.Config) int64 {
 	return h
 }
 
-// Ratios computes per-kernel performance ratios base/test: > 1 means
-// the test configuration is faster than the baseline.
-func Ratios(base, test []Measurement) (map[string]float64, error) {
-	if len(base) != len(test) {
-		return nil, fmt.Errorf("core: mismatched measurement sets (%d vs %d)",
-			len(base), len(test))
+// classPositions maps each class to the suite positions of its
+// kernels, in suite order. Suite results are positional, so this is
+// how every per-class aggregate finds its kernels.
+var classPositions = sync.OnceValue(func() [kernels.NumClasses][]int {
+	var pos [kernels.NumClasses][]int
+	for i, spec := range suite.All() {
+		pos[spec.Class] = append(pos[spec.Class], i)
 	}
-	baseBy := make(map[string]float64, len(base))
-	for _, m := range base {
-		baseBy[m.Kernel] = m.Seconds
-	}
-	out := make(map[string]float64, len(test))
-	for _, m := range test {
-		b, ok := baseBy[m.Kernel]
-		if !ok {
-			return nil, fmt.Errorf("core: kernel %s missing from baseline", m.Kernel)
+	return pos
+})
+
+// classCells aggregates one configuration's suite seconds against a
+// baseline's, class by class: each cell holds the class's mean time
+// and the summary of its per-kernel ratios base/test (> 1 means the
+// test configuration is faster), the bar+whisker form every figure of
+// the paper uses. Both slices are in suite.All() order, and each class
+// reads its kernels in suite order.
+func classCells(base, test []float64) ([kernels.NumClasses]CampaignCell, error) {
+	var cells [kernels.NumClasses]CampaignCell
+	var buf [64]float64
+	for c, idxs := range classPositions() {
+		secs, ratios := 0.0, buf[:0]
+		for _, k := range idxs {
+			if test[k] <= 0 {
+				return cells, fmt.Errorf("core: kernel %s has non-positive time", suite.All()[k].Name)
+			}
+			secs += test[k]
+			ratios = append(ratios, base[k]/test[k])
 		}
-		if m.Seconds <= 0 {
-			return nil, fmt.Errorf("core: kernel %s has non-positive time", m.Kernel)
-		}
-		out[m.Kernel] = b / m.Seconds
+		cells[c] = CampaignCell{Seconds: secs / float64(len(idxs)), Ratio: stats.Summarize(ratios)}
 	}
-	return out, nil
+	return cells, nil
 }
 
-// ClassSummaries aggregates per-kernel ratios into per-class bar+whisker
-// summaries, the form every figure in the paper uses.
-func ClassSummaries(ratios map[string]float64) map[kernels.Class]stats.Summary {
-	byClass := make(map[kernels.Class][]float64)
-	for _, spec := range suite.All() {
-		if r, ok := ratios[spec.Name]; ok {
-			byClass[spec.Class] = append(byClass[spec.Class], r)
-		}
+// classSummaries is classCells' ratio summaries keyed by class, the
+// shape of a figure series.
+func classSummaries(base, test []float64) (map[kernels.Class]stats.Summary, error) {
+	cells, err := classCells(base, test)
+	if err != nil {
+		return nil, err
 	}
-	out := make(map[kernels.Class]stats.Summary, len(byClass))
-	for c, rs := range byClass {
-		out[c] = stats.Summarize(rs)
+	out := make(map[kernels.Class]stats.Summary, len(cells))
+	for c, cell := range cells {
+		out[kernels.Class(c)] = cell.Ratio
 	}
-	return out
+	return out, nil
 }
 
 // Series is one bar group of a class-level figure.
@@ -291,11 +287,11 @@ func (st *Study) Figure1() (Figure, error) {
 		if err != nil {
 			return err
 		}
-		ratios, err := Ratios(base, test)
+		byClass, err := classSummaries(base, test)
 		if err != nil {
 			return err
 		}
-		series[i] = Series{Label: cases[i].label, ByClass: ClassSummaries(ratios)}
+		series[i] = Series{Label: cases[i].label, ByClass: byClass}
 		return nil
 	})
 	if err != nil {
@@ -340,10 +336,6 @@ func (st *Study) ScalingTable(pol placement.Policy) (ScalingTableResult, error) 
 	if err != nil {
 		return res, err
 	}
-	baseBy := make(map[string]Measurement, len(base))
-	for _, m := range base {
-		baseBy[m.Kernel] = m
-	}
 	rows := make([]map[kernels.Class]ScalingCell, len(TableThreads))
 	err = par.ForEach(len(TableThreads), st.Workers, func(i int) error {
 		threads := TableThreads[i]
@@ -351,15 +343,15 @@ func (st *Study) ScalingTable(pol placement.Policy) (ScalingTableResult, error) 
 		if err != nil {
 			return err
 		}
-		perClass := make(map[kernels.Class][]float64)
-		for _, m := range test {
-			b := baseBy[m.Kernel]
-			perClass[m.Class] = append(perClass[m.Class], stats.Speedup(b.Seconds, m.Seconds))
+		// A class's speedup is its mean per-kernel ratio t1/tn.
+		cells, err := classCells(base, test)
+		if err != nil {
+			return err
 		}
-		row := make(map[kernels.Class]ScalingCell, len(perClass))
-		for c, sps := range perClass {
-			sp := stats.Mean(sps)
-			row[c] = ScalingCell{Speedup: sp, PE: stats.ParallelEfficiency(sp, threads)}
+		row := make(map[kernels.Class]ScalingCell, len(cells))
+		for c, cell := range cells {
+			sp := cell.Ratio.Mean
+			row[kernels.Class(c)] = ScalingCell{Speedup: sp, PE: stats.ParallelEfficiency(sp, threads)}
 		}
 		rows[i] = row
 		return nil
@@ -394,14 +386,11 @@ func (st *Study) Figure2() (Figure, error) {
 		if err != nil {
 			return err
 		}
-		ratios, err := Ratios(base, test)
+		byClass, err := classSummaries(base, test)
 		if err != nil {
 			return err
 		}
-		series[i] = Series{
-			Label:   fmt.Sprintf("RVV vs scalar, %v", p),
-			ByClass: ClassSummaries(ratios),
-		}
+		series[i] = Series{Label: fmt.Sprintf("RVV vs scalar, %v", p), ByClass: byClass}
 		return nil
 	})
 	if err != nil {
@@ -531,8 +520,8 @@ func (st *Study) XCompare(p prec.Precision, multithreaded bool) (Figure, error) 
 		Baseline: "SG2042",
 	}
 
-	// SG2042 baseline measurements.
-	var base []Measurement
+	// SG2042 baseline seconds, in suite order.
+	var base []float64
 	if !multithreaded {
 		b, err := st.RunSuite(sgConfig(1, placement.Block, p))
 		if err != nil {
@@ -557,15 +546,14 @@ func (st *Study) XCompare(p prec.Precision, multithreaded bool) (Figure, error) 
 		if err != nil {
 			return Figure{}, err
 		}
-		base = make([]Measurement, len(specs))
+		base = make([]float64, len(specs))
 		for i := range specs {
-			secs := times[0][i].Seconds
+			base[i] = times[0][i].Seconds
 			for _, bds := range times[1:] {
-				if bds[i].Seconds < secs {
-					secs = bds[i].Seconds
+				if bds[i].Seconds < base[i] {
+					base[i] = bds[i].Seconds
 				}
 			}
-			base[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class, Seconds: secs}
 		}
 	}
 
@@ -582,11 +570,11 @@ func (st *Study) XCompare(p prec.Precision, multithreaded bool) (Figure, error) 
 		if err != nil {
 			return err
 		}
-		ratios, err := Ratios(base, test)
+		byClass, err := classSummaries(base, test)
 		if err != nil {
 			return err
 		}
-		series[i] = Series{Label: m.Label, ByClass: ClassSummaries(ratios)}
+		series[i] = Series{Label: m.Label, ByClass: byClass}
 		return nil
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/prec"
+	"repro/internal/stats"
 	"repro/internal/suite"
 )
 
@@ -21,16 +22,16 @@ func exactStudy() *Study {
 
 func TestRunSuiteCoversAllKernels(t *testing.T) {
 	st := exactStudy()
-	ms, err := st.RunSuite(sgConfig(1, placement.Block, prec.F32))
+	secs, err := st.RunSuite(sgConfig(1, placement.Block, prec.F32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 64 {
-		t.Fatalf("got %d measurements, want 64", len(ms))
+	if len(secs) != 64 || len(secs) != len(suite.All()) {
+		t.Fatalf("got %d times, want 64 in suite order", len(secs))
 	}
-	for _, m := range ms {
-		if m.Seconds <= 0 {
-			t.Errorf("%s: non-positive time", m.Kernel)
+	for i, s := range secs {
+		if s <= 0 {
+			t.Errorf("%s: non-positive time", suite.All()[i].Name)
 		}
 	}
 }
@@ -46,17 +47,17 @@ func TestNoiseAveragingReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if a[i].Seconds != b[i].Seconds {
-			t.Fatalf("%s: noisy measurements not reproducible", a[i].Kernel)
+		if a[i] != b[i] {
+			t.Fatalf("%s: noisy measurements not reproducible", suite.All()[i].Name)
 		}
 	}
 	// Noise must stay small relative to the signal after averaging.
 	ex := exactStudy()
 	c, _ := ex.RunSuite(sgConfig(1, placement.Block, prec.F32))
 	for i := range a {
-		rel := math.Abs(a[i].Seconds-c[i].Seconds) / c[i].Seconds
+		rel := math.Abs(a[i]-c[i]) / c[i]
 		if rel > 0.05 {
-			t.Errorf("%s: averaged noise %.3f too large", a[i].Kernel, rel)
+			t.Errorf("%s: averaged noise %.3f too large", suite.All()[i].Name, rel)
 		}
 	}
 }
@@ -113,13 +114,17 @@ func TestMemsetStandsOut(t *testing.T) {
 	st := exactStudy()
 	base, _ := st.RunSuite(mustMachineCfg(machine.VisionFiveV2(), 1, prec.F64))
 	test, _ := st.RunSuite(sgConfig(1, placement.Block, prec.F32))
-	ratios, _ := Ratios(base, test)
-	if ratios["MEMSET"] < 8 {
-		t.Errorf("MEMSET FP32 ratio %.1f should be large", ratios["MEMSET"])
+	k := suiteIndex(t, "MEMSET")
+	memset := base[k] / test[k]
+	if memset < 8 {
+		t.Errorf("MEMSET FP32 ratio %.1f should be large", memset)
 	}
 	// It should exceed the algorithm-class average (it is the whisker top).
-	cs := ClassSummaries(ratios)
-	if ratios["MEMSET"] < cs[kernels.Algorithm].Mean {
+	cs, err := classSummaries(base, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memset < cs[kernels.Algorithm].Mean {
 		t.Error("MEMSET should be above its class average")
 	}
 }
@@ -402,19 +407,67 @@ func TestBestSGThreads(t *testing.T) {
 	}
 }
 
-func TestRatiosErrors(t *testing.T) {
-	a := []Measurement{{Kernel: "X", Seconds: 1}}
-	b := []Measurement{{Kernel: "X", Seconds: 2}, {Kernel: "Y", Seconds: 1}}
-	if _, err := Ratios(a, b); err == nil {
-		t.Error("mismatched lengths accepted")
+// suiteIndex is a kernel's position in suite.All(), the index of its
+// time in a suite result.
+func suiteIndex(t *testing.T, name string) int {
+	t.Helper()
+	for i, spec := range suite.All() {
+		if spec.Name == name {
+			return i
+		}
 	}
-	c := []Measurement{{Kernel: "Z", Seconds: 1}}
-	if _, err := Ratios(a, c); err == nil {
-		t.Error("missing baseline kernel accepted")
+	t.Fatalf("no kernel %s in the suite", name)
+	return -1
+}
+
+func TestClassCellsRejectsNonPositiveTime(t *testing.T) {
+	st := exactStudy()
+	base, err := st.RunSuite(sgConfig(1, placement.Block, prec.F32))
+	if err != nil {
+		t.Fatal(err)
 	}
-	d := []Measurement{{Kernel: "X", Seconds: 0}}
-	if _, err := Ratios(a, d); err == nil {
-		t.Error("zero time accepted")
+	for _, bad := range []float64{0, -1} {
+		test := append([]float64(nil), base...)
+		test[suiteIndex(t, "TRIAD")] = bad
+		if _, err := classCells(base, test); err == nil {
+			t.Errorf("time %v accepted", bad)
+		}
+	}
+}
+
+// classCells must aggregate exactly as a name-keyed pipeline does —
+// per-kernel ratios looked up by name, grouped by class in suite order
+// — bit for bit, since every figure, table and campaign reads it.
+func TestClassCellsMatchNameKeyedAggregation(t *testing.T) {
+	st := NewStudy()
+	base, err := st.RunSuite(mustMachineCfg(machine.VisionFiveV2(), 1, prec.F64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := st.RunSuite(sgConfig(4, placement.CyclicNUMA, prec.F32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseBy, testBy := map[string]float64{}, map[string]float64{}
+	for i, spec := range suite.All() {
+		baseBy[spec.Name], testBy[spec.Name] = base[i], test[i]
+	}
+	cells, err := classCells(base, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range kernels.Classes {
+		var secs, ratios []float64
+		for _, spec := range suite.All() {
+			if spec.Class == c {
+				secs = append(secs, testBy[spec.Name])
+				ratios = append(ratios, baseBy[spec.Name]/testBy[spec.Name])
+			}
+		}
+		want := CampaignCell{Seconds: stats.Mean(secs), Ratio: stats.Summarize(ratios)}
+		if cells[c] != want {
+			t.Errorf("class %v: classCells %+v, name-keyed %+v", c, cells[c], want)
+		}
 	}
 }
 

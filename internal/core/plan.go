@@ -40,12 +40,10 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/memo"
 	"repro/internal/placement"
 	"repro/internal/prec"
-	"repro/internal/suite"
 )
 
 // planCombo is one (base, axis-value combination) of the grid: the
@@ -388,29 +386,4 @@ func (p *campaignPlan) dedup() {
 			}
 		}
 	})
-}
-
-// suiteClassPos maps each class (by its index in kernels.Classes) to
-// the suite positions of its kernels, in suite order — the positional
-// form of ClassSummaries' name-keyed aggregation.
-var suiteClassPos struct {
-	once sync.Once
-	pos  [][]int
-}
-
-func classPositions() [][]int {
-	suiteClassPos.once.Do(func() {
-		specs := suite.All()
-		idx := make(map[kernels.Class]int, len(kernels.Classes))
-		for i, c := range kernels.Classes {
-			idx[c] = i
-		}
-		pos := make([][]int, len(kernels.Classes))
-		for i := range specs {
-			j := idx[specs[i].Class]
-			pos[j] = append(pos[j], i)
-		}
-		suiteClassPos.pos = pos
-	})
-	return suiteClassPos.pos
 }

@@ -5,7 +5,7 @@ package core
 // the distributed fabric (internal/fabric) would otherwise boot cold
 // and re-evaluate its whole slice of the grid. SnapshotCache serializes
 // every completed cache entry — the canonical suite key plus the
-// memoized measurements — through the internal/wire canonical encoding,
+// memoized seconds — through the internal/wire canonical encoding,
 // and RestoreCache installs a snapshot into a fresh study so its first
 // shard-owned request is already a cache hit.
 //
@@ -21,6 +21,12 @@ package core
 //	                                        plus every other key field)
 //	frame 2k+2        kind "snapshot-suite" one row per kernel:
 //	                                        kernel, class, seconds
+//
+// A cache entry holds only seconds in suite.All() order; the encoder
+// re-expands the kernel and class columns from suite.All(), and the
+// decoder requires them to match it row for row (same count, names
+// and classes, in suite order), so an entry that restores is one the
+// positional readers can index without bounds surprises.
 //
 // Float64 fields travel as IEEE-754 bit patterns, so a restored entry
 // is bit-identical to the evaluated one — the determinism contract
@@ -42,11 +48,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/autovec"
-	"repro/internal/kernels"
 	"repro/internal/placement"
 	"repro/internal/prec"
+	"repro/internal/suite"
 	"repro/internal/wire"
 )
 
@@ -54,6 +61,18 @@ import (
 // any change to the frame sequence or column sets below; a decoder
 // rejects versions it does not know.
 const SnapshotVersion = 1
+
+// snapshotEntryBytes bounds one encoded entry: 1,879 bytes of framing,
+// key fields, kernel and class columns and seconds, plus the machine
+// label twice (it titles both frames), which leaves room for labels of
+// about 80 bytes.
+const snapshotEntryBytes = 2 << 10
+
+// MaxSnapshotBytes is the largest snapshot a full suite cache
+// produces: maxSuiteEntries entries of at most snapshotEntryBytes
+// each, 128 MiB. Readers of untrusted snapshots bound their reads
+// with it.
+const MaxSnapshotBytes = maxSuiteEntries * snapshotEntryBytes
 
 // Snapshot frame kinds.
 const (
@@ -65,8 +84,8 @@ const (
 // snapshotEntry is one completed, successful suite-cache entry — the
 // unit a snapshot serializes.
 type snapshotEntry struct {
-	key suiteKey
-	ms  []Measurement
+	key  suiteKey
+	secs []float64
 }
 
 // SnapshotCache serializes every completed suite-cache entry. The
@@ -85,15 +104,15 @@ func (st *Study) SnapshotCache() ([]byte, error) {
 func (st *Study) SnapshotCacheIf(keep func(machineFP uint64) bool) ([]byte, error) {
 	var entries []snapshotEntry
 	if st.cache != nil {
-		// The measurement slices are the cache's own; encoding only
-		// reads them.
-		st.cache.Range(func(k suiteKey, ms []Measurement) {
+		// The slices are the cache's own; encoding only reads them.
+		st.cache.Range(func(k suiteKey, secs []float64) {
 			if keep == nil || keep(k.machineFP) {
-				entries = append(entries, snapshotEntry{key: k, ms: ms})
+				entries = append(entries, snapshotEntry{key: k, secs: secs})
 			}
 		})
 	}
 	sortSnapshotEntries(entries)
+	kernelCol, classCol := suiteColumns()
 	tables := make([]wire.Table, 0, 1+2*len(entries))
 	header := wire.Table{
 		Kind:  snapHeaderKind,
@@ -105,7 +124,15 @@ func (st *Study) SnapshotCacheIf(keep func(machineFP uint64) bool) ([]byte, erro
 	}
 	tables = append(tables, header)
 	for _, e := range entries {
-		tables = append(tables, keyTable(e.key), suiteTable(e.key, e.ms))
+		tables = append(tables, keyTable(e.key), wire.Table{
+			Kind:  snapSuiteKind,
+			Title: e.key.machine,
+			Columns: []wire.Column{
+				{Name: "kernel", Type: wire.String, Strings: kernelCol},
+				{Name: "class", Type: wire.Int64, Ints: classCol},
+				{Name: "seconds", Type: wire.Float64, Floats: e.secs},
+			},
+		})
 	}
 	return wire.Encode(tables...)
 }
@@ -125,7 +152,7 @@ func (st *Study) RestoreCache(data []byte) (int, error) {
 	installed := 0
 	for _, e := range entries {
 		e.key.model = st.Model
-		if st.cache.Add(e.key, e.ms) {
+		if st.cache.Add(e.key, e.secs) {
 			installed++
 		}
 	}
@@ -201,26 +228,18 @@ func keyTable(k suiteKey) wire.Table {
 	}
 }
 
-// suiteTable encodes one entry's measurements.
-func suiteTable(k suiteKey, ms []Measurement) wire.Table {
-	kernelCol := make([]string, len(ms))
-	classCol := make([]int64, len(ms))
-	secondsCol := make([]float64, len(ms))
-	for i, m := range ms {
-		kernelCol[i] = m.Kernel
-		classCol[i] = int64(m.Class)
-		secondsCol[i] = m.Seconds
+// suiteColumns spells out suite.All()'s kernel names and classes, the
+// columns every snapshot-suite frame carries beside its seconds.
+var suiteColumns = sync.OnceValues(func() ([]string, []int64) {
+	specs := suite.All()
+	names := make([]string, len(specs))
+	classes := make([]int64, len(specs))
+	for i, spec := range specs {
+		names[i] = spec.Name
+		classes[i] = int64(spec.Class)
 	}
-	return wire.Table{
-		Kind:  snapSuiteKind,
-		Title: k.machine,
-		Columns: []wire.Column{
-			{Name: "kernel", Type: wire.String, Strings: kernelCol},
-			{Name: "class", Type: wire.Int64, Ints: classCol},
-			{Name: "seconds", Type: wire.Float64, Floats: secondsCol},
-		},
-	}
-}
+	return names, classes
+})
 
 // decodeSnapshot decodes and fully validates a snapshot into staged
 // entries. It is total over arbitrary input: corrupt bytes yield an
@@ -380,22 +399,20 @@ func decodeEntry(keyT, suiteT *wire.Table) (snapshotEntry, error) {
 	if err != nil {
 		return e, err
 	}
-	rows := suiteT.NumRows()
-	if rows == 0 {
-		return e, fmt.Errorf("entry has no measurements")
+	names, classes := suiteColumns()
+	if rows := suiteT.NumRows(); rows != len(names) {
+		return e, fmt.Errorf("entry has %d kernels, the suite has %d", rows, len(names))
 	}
-	e.ms = make([]Measurement, rows)
-	for i := 0; i < rows; i++ {
-		sec := secondsCol.Floats[i]
-		if math.IsNaN(sec) || math.IsInf(sec, 0) || sec <= 0 {
-			return e, fmt.Errorf("kernel %q has non-positive time %v", kernelCol.Strings[i], sec)
+	for i, name := range names {
+		if kernelCol.Strings[i] != name || classCol.Ints[i] != classes[i] {
+			return e, fmt.Errorf("row %d is kernel %q of class %d, want %q of class %d (suite order)",
+				i, kernelCol.Strings[i], classCol.Ints[i], name, classes[i])
 		}
-		e.ms[i] = Measurement{
-			Kernel:  kernelCol.Strings[i],
-			Class:   kernels.Class(classCol.Ints[i]),
-			Seconds: sec,
+		if sec := secondsCol.Floats[i]; math.IsNaN(sec) || math.IsInf(sec, 0) || sec <= 0 {
+			return e, fmt.Errorf("kernel %q has non-positive time %v", name, sec)
 		}
 	}
+	e.secs = secondsCol.Floats
 	return e, nil
 }
 

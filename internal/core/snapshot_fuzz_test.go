@@ -6,13 +6,14 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/prec"
+	"repro/internal/suite"
 )
 
 // FuzzRestoreCache drives the snapshot decoder with arbitrary bytes.
 // The decoder must be total: any input either restores cleanly or
 // errors — never panics — and a failed restore must leave the cache
 // completely untouched (no poisoning). A successful restore must
-// re-snapshot to a decodable image.
+// install only full suite results and re-snapshot to a decodable image.
 func FuzzRestoreCache(f *testing.F) {
 	// Seeds: a real snapshot, its prefixes, and structured corruptions.
 	st := NewStudy()
@@ -50,6 +51,12 @@ func FuzzRestoreCache(f *testing.F) {
 			}
 			return
 		}
+		// Every installed entry is indexed by suite position downstream.
+		fresh.cache.Range(func(k suiteKey, secs []float64) {
+			if len(secs) != len(suite.All()) {
+				t.Errorf("restored entry for %q holds %d times, want %d", k.machine, len(secs), len(suite.All()))
+			}
+		})
 		// A restore that succeeded must re-snapshot to a stable image:
 		// snapshot(restore(x)) round-trips through restore again.
 		img, err := fresh.SnapshotCache()

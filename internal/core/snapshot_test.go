@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/prec"
+	"repro/internal/suite"
 	"repro/internal/wire"
 )
 
@@ -159,6 +161,127 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: study poisoned after failed restore: %v", name, err)
 		}
 	}
+}
+
+// TestRestoreRejectsPoisonedEntries: an entry whose rows are not
+// exactly suite.All() — one kernel short or over, a renamed kernel, a
+// kernel filed under the wrong class — is refused, and because restore
+// is all-or-nothing the valid entries around it are not installed
+// either. Positional readers index every entry by suite position, so
+// a short entry that slipped in would crash the next campaign.
+func TestRestoreRejectsPoisonedEntries(t *testing.T) {
+	st := NewStudy()
+	for _, threads := range []int{1, 2, 4} {
+		if _, err := st.RunSuite(mustMachineCfg(machine.SG2042(), threads, prec.F64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := st.SnapshotCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := wire.DecodeAll(data)
+	if err != nil || len(tables) != 7 {
+		t.Fatalf("snapshot decodes to %d frames (%v), want header + 3 entries", len(tables), err)
+	}
+	// The middle entry's suite frame is poisoned; its neighbours stay
+	// valid.
+	const poisoned = 4
+	resize := func(n int) func(*wire.Table) {
+		return func(tb *wire.Table) {
+			for i := range tb.Columns {
+				c := &tb.Columns[i]
+				c.Strings, c.Ints, c.Floats = resized(c.Strings, n), resized(c.Ints, n), resized(c.Floats, n)
+			}
+		}
+	}
+	n := len(suite.All())
+	cases := map[string]func(*wire.Table){
+		"63 rows": resize(n - 1),
+		"65 rows": resize(n + 1),
+		"one row": resize(1),
+		"renamed kernel": func(tb *wire.Table) {
+			tb.Columns[0].Strings[10] = "NOT_A_KERNEL"
+		},
+		"wrong class": func(tb *wire.Table) {
+			tb.Columns[1].Ints[10] = (tb.Columns[1].Ints[10] + 1) % int64(len(kernels.Classes))
+		},
+		"swapped rows": func(tb *wire.Table) {
+			for i := range tb.Columns[:2] {
+				c := &tb.Columns[i]
+				if c.Type == wire.String {
+					c.Strings[0], c.Strings[n-1] = c.Strings[n-1], c.Strings[0]
+				} else {
+					c.Ints[0], c.Ints[n-1] = c.Ints[n-1], c.Ints[0]
+				}
+			}
+		},
+	}
+	for name, poison := range cases {
+		frames := make([]wire.Table, len(tables))
+		for i, tb := range tables {
+			frames[i] = tb
+			frames[i].Columns = make([]wire.Column, len(tb.Columns))
+			for j, c := range tb.Columns {
+				c.Strings = append([]string(nil), c.Strings...)
+				c.Ints = append([]int64(nil), c.Ints...)
+				c.Floats = append([]float64(nil), c.Floats...)
+				frames[i].Columns[j] = c
+			}
+		}
+		if frames[poisoned].Kind != snapSuiteKind || frames[poisoned].Columns[0].Name != "kernel" || frames[poisoned].Columns[1].Name != "class" {
+			t.Fatalf("frame %d is not a kernel/class/seconds suite frame", poisoned)
+		}
+		poison(&frames[poisoned])
+		bad, err := wire.Encode(frames...)
+		if err != nil {
+			t.Fatalf("%s: encoding: %v", name, err)
+		}
+		fresh := NewStudy()
+		if got, err := fresh.RestoreCache(bad); err == nil {
+			t.Errorf("%s: restored %d entries without error", name, got)
+		}
+		if s := fresh.SuiteCacheStats(); s.Entries != 0 || s.Hits != 0 || s.Misses != 0 {
+			t.Errorf("%s: failed restore touched the cache: %+v", name, s)
+		}
+	}
+	// The unpoisoned snapshot still restores all three entries.
+	if got, err := NewStudy().RestoreCache(data); err != nil || got != 3 {
+		t.Fatalf("clean snapshot restored (%d, %v), want (3, nil)", got, err)
+	}
+}
+
+// TestSnapshotEntryBytesBound: an entry under a preset's label or a
+// four-axis derived one encodes within snapshotEntryBytes, so a full
+// cache's snapshot fits MaxSnapshotBytes.
+func TestSnapshotEntryBytesBound(t *testing.T) {
+	empty, err := NewStudy().SnapshotCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{"SG2042", "SG2042x2/c64/2.5GHz/v256/n8"} {
+		st := NewStudy()
+		m := *machine.SG2042()
+		m.Label = label
+		if _, err := st.RunSuite(mustMachineCfg(&m, 64, prec.F64)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := st.SnapshotCache()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(data) - len(empty); n > snapshotEntryBytes {
+			t.Errorf("entry labelled %q encodes to %d bytes, bound %d", label, n, snapshotEntryBytes)
+		}
+	}
+}
+
+// resized cuts s to n elements or pads it with copies of its first.
+func resized[T any](s []T, n int) []T {
+	for len(s) > 0 && len(s) < n {
+		s = append(s, s[0])
+	}
+	return s[:min(n, len(s))]
 }
 
 // mustSnapshotHeader builds a snapshot whose header declares the given

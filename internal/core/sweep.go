@@ -231,7 +231,7 @@ func (st *Study) MachineSweep(spec SweepSpec) (Figure, error) {
 	// the pool. Ratio and summary derivation is cheap plain code and
 	// runs after the barrier, in caller order.
 	machines := append([]*machine.Machine{spec.Base}, variants...)
-	suites := make([][]Measurement, len(machines))
+	suites := make([][]float64, len(machines))
 	err = par.ForEach(len(machines), st.Workers, func(i int) error {
 		ms, err := st.RunSuite(spec.sweepConfig(machines[i]))
 		if err != nil {
@@ -251,11 +251,11 @@ func (st *Study) MachineSweep(spec SweepSpec) (Figure, error) {
 	base := suites[0]
 	fig.Series = make([]Series, len(variants))
 	for i, v := range variants {
-		ratios, err := Ratios(base, suites[i+1])
+		byClass, err := classSummaries(base, suites[i+1])
 		if err != nil {
 			return Figure{}, err
 		}
-		fig.Series[i] = Series{Label: v.Label, ByClass: ClassSummaries(ratios)}
+		fig.Series[i] = Series{Label: v.Label, ByClass: byClass}
 	}
 	return fig, nil
 }

@@ -40,16 +40,15 @@
 //	threads, placement, prec, cores  uvarint each
 //	total_seconds, mean_ratio        f64 each
 //	axis values                      uvarint count, then an f64 each
-//	class cells                      uvarint count (1-6), then per cell in
-//	                                 kernels.Classes order: uvarint class
-//	                                 id, f64 seconds, uvarint ratio N,
-//	                                 f64 ratio mean, min and max
+//	class cells                      exactly kernels.NumClasses (6), in
+//	                                 kernels.Classes order, no count or
+//	                                 class id: f64 seconds, uvarint ratio
+//	                                 N, f64 ratio mean, min and max
 //
 // An f64 is the value's IEEE-754 bit pattern in 8 little-endian bytes,
 // so a point decoded from a worker is bit-identical to one evaluated
-// locally. The decoder checks every length against the bytes left,
-// requires strictly increasing known class ids and rejects trailing
-// bytes.
+// locally. The decoder checks every length against the bytes left
+// and rejects short or trailing bytes.
 //
 // Integrity: the model is deterministic, so two honest workers never
 // disagree about a point. What can go wrong is bytes damaged in

@@ -23,7 +23,7 @@ import (
 // pointRecordVersion names the record layout. It is part of the model
 // fingerprint, so a worker built with another layout is refused with
 // 409 instead of failing mid-stream; change it with the layout.
-const pointRecordVersion = 1
+const pointRecordVersion = 2
 
 // maxFrameSize bounds one frame on the read side. A campaign point is
 // a few hundred bytes; a declared length beyond this is a corrupt or
@@ -33,16 +33,16 @@ const maxFrameSize = 1 << 20
 // crcSize is the width of the frame checksum that precedes the body.
 const crcSize = 4
 
-// cellSize is the smallest encoded class cell: one-byte class id and
-// N, four f64s.
-const cellSize = 1 + 1 + 4*8
+// cellSize is the smallest encoded class cell: a one-byte N and four
+// f64s.
+const cellSize = 1 + 4*8
 
 // encodeFrame encodes one point as a frame body.
 func encodeFrame(p repro.CampaignPoint) ([]byte, error) {
 	if min(p.Index, p.Threads, int(p.Placement), int(p.Prec), p.Cores) < 0 {
 		return nil, fmt.Errorf("fabric: point %d has a negative integer field", p.Index)
 	}
-	b := make([]byte, 0, 64+len(p.Base)+len(p.Machine)+8*len(p.Values)+len(kernels.Classes)*cellSize)
+	b := make([]byte, 0, 64+len(p.Base)+len(p.Machine)+8*len(p.Values)+kernels.NumClasses*cellSize)
 	b = binary.AppendUvarint(b, uint64(p.Index))
 	b = appendString(b, p.Base)
 	b = appendString(b, p.Machine)
@@ -55,28 +55,16 @@ func encodeFrame(p repro.CampaignPoint) ([]byte, error) {
 	for _, v := range p.Values {
 		b = appendFloat(b, v)
 	}
-	// At most 6 cells, so their uvarint count is one byte, set below.
-	at, cells := len(b), 0
-	b = append(b, 0)
-	for _, c := range kernels.Classes {
-		if cell, ok := p.ByClass[c]; ok {
-			if cell.Ratio.N < 0 {
-				return nil, fmt.Errorf("fabric: point %d: class %v has negative N", p.Index, c)
-			}
-			cells++
-			b = binary.AppendUvarint(b, uint64(c))
-			b = appendFloat(b, cell.Seconds)
-			b = binary.AppendUvarint(b, uint64(cell.Ratio.N))
-			b = appendFloat(b, cell.Ratio.Mean)
-			b = appendFloat(b, cell.Ratio.Min)
-			b = appendFloat(b, cell.Ratio.Max)
+	for c, cell := range p.ByClass {
+		if cell.Ratio.N < 0 {
+			return nil, fmt.Errorf("fabric: point %d: class %v has negative N", p.Index, kernels.Class(c))
 		}
+		b = appendFloat(b, cell.Seconds)
+		b = binary.AppendUvarint(b, uint64(cell.Ratio.N))
+		b = appendFloat(b, cell.Ratio.Mean)
+		b = appendFloat(b, cell.Ratio.Min)
+		b = appendFloat(b, cell.Ratio.Max)
 	}
-	if cells == 0 || cells != len(p.ByClass) {
-		return nil, fmt.Errorf("fabric: point %d has %d class cells, %d of them known classes",
-			p.Index, len(p.ByClass), cells)
-	}
-	b[at] = byte(cells)
 	return b, nil
 }
 
@@ -90,8 +78,7 @@ func appendFloat(b []byte, v float64) []byte {
 
 // decodeFrame rebuilds a CampaignPoint from a frame body. It is total:
 // every length and count is checked against the bytes that remain
-// before anything is allocated, the class cells must be 1-6 known
-// classes in strictly increasing order, and trailing bytes are an
+// before anything is allocated, and short or trailing bytes are an
 // error, so a damaged body fails rather than yielding a wrong point.
 func decodeFrame(body []byte) (repro.CampaignPoint, error) {
 	r := recordReader{b: body}
@@ -114,20 +101,8 @@ func decodeFrame(body []byte) (repro.CampaignPoint, error) {
 			p.Values[i] = r.float()
 		}
 	}
-	cells := r.count(cellSize, len(kernels.Classes))
-	if cells == 0 {
-		r.fail("no class cells")
-		return repro.CampaignPoint{}, r.err
-	}
-	p.ByClass = make(map[kernels.Class]repro.CampaignCell, cells)
-	last := -1
-	for range cells {
-		id := r.int()
-		if id <= last || id >= len(kernels.Classes) {
-			r.fail("class id %d after %d (want increasing, below %d)", id, last, len(kernels.Classes))
-		}
-		last = id
-		p.ByClass[kernels.Class(id)] = repro.CampaignCell{
+	for c := range p.ByClass {
+		p.ByClass[c] = repro.CampaignCell{
 			Seconds: r.float(),
 			Ratio:   stats.Summary{N: r.int(), Mean: r.float(), Min: r.float(), Max: r.float()},
 		}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"io"
-	"maps"
 	"reflect"
 	"strings"
 	"testing"
@@ -167,7 +166,7 @@ func TestTamperedRecordStillDecodes(t *testing.T) {
 
 // TestDecodeFrameRejectsMalformedRecords: the decoder refuses every
 // proper prefix of a valid record, trailing bytes, and records whose
-// counts or class ids break the layout's rules.
+// counts or uvarints break the layout's rules.
 func TestDecodeFrameRejectsMalformedRecords(t *testing.T) {
 	p := evalPoints(t, testSpec(t))[0]
 	body, err := encodeFrame(p)
@@ -184,28 +183,29 @@ func TestDecodeFrameRejectsMalformedRecords(t *testing.T) {
 		t.Fatalf("trailing byte = %v, want trailing-bytes error", err)
 	}
 
-	// The cells are the record's tail: re-encode them by hand.
-	cells := len(p.ByClass)
-	head := body[:len(body)-cells*cellSize-1]
-	cell := func(id byte) []byte {
-		c := append([]byte{id}, make([]byte, 8)...)
-		return append(append(c, 1), make([]byte, 24)...)
+	// The record's tail is the axis-value count, its values and the six
+	// fixed cells: rebuild it by hand from a point with no axis values.
+	p.Values = nil
+	if body, err = encodeFrame(p); err != nil {
+		t.Fatal(err)
 	}
+	head := body[:len(body)-kernels.NumClasses*cellSize-1]
+	cell := append(append(make([]byte, 8), 1), make([]byte, 24)...)
+	cells := bytes.Repeat(cell, kernels.NumClasses)
 	join := func(parts ...[]byte) []byte {
 		return bytes.Join(append([][]byte{head}, parts...), nil)
 	}
-	if _, err := decodeFrame(join([]byte{1}, cell(0))); err != nil {
+	if _, err := decodeFrame(join([]byte{0}, cells)); err != nil {
 		t.Fatalf("hand-built record rejected: %v", err)
 	}
+	if _, err := decodeFrame(join([]byte{1}, make([]byte, 8), cells)); err != nil {
+		t.Fatalf("hand-built record with one axis value rejected: %v", err)
+	}
 	for name, bad := range map[string][]byte{
-		"no cells":          join([]byte{0}),
-		"seven cells":       join([]byte{7}, bytes.Repeat(cell(0), 7)),
-		"repeated class":    join([]byte{2}, cell(3), cell(3)),
-		"decreasing class":  join([]byte{2}, cell(3), cell(2)),
-		"unknown class":     join([]byte{1}, cell(6)),
-		"count past end":    join([]byte{2}, cell(0)),
-		"huge count":        join([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}),
-		"overlong uvarint":  join(bytes.Repeat([]byte{0xFF}, 10)),
+		"five cells":        join([]byte{0}, cells[cellSize:]),
+		"count past end":    join([]byte{2}, make([]byte, 8), cells),
+		"huge count":        join([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, cells),
+		"overlong uvarint":  join([]byte{0}, make([]byte, 8), bytes.Repeat([]byte{0xFF}, 10), cells[9:]),
 		"huge string":       {0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 		"index past MaxInt": {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
 	} {
@@ -220,8 +220,6 @@ func TestDecodeFrameRejectsMalformedRecords(t *testing.T) {
 func TestEncodeFrameRejectsUnencodablePoints(t *testing.T) {
 	base := evalPoints(t, testSpec(t))[0]
 	for name, mutate := range map[string]func(*repro.CampaignPoint){
-		"no cells":       func(p *repro.CampaignPoint) { p.ByClass = nil },
-		"unknown class":  func(p *repro.CampaignPoint) { p.ByClass[kernels.Class(len(kernels.Classes))] = repro.CampaignCell{} },
 		"negative index": func(p *repro.CampaignPoint) { p.Index = -1 },
 		"negative cores": func(p *repro.CampaignPoint) { p.Cores = -1 },
 		"negative N": func(p *repro.CampaignPoint) {
@@ -229,7 +227,6 @@ func TestEncodeFrameRejectsUnencodablePoints(t *testing.T) {
 		},
 	} {
 		p := base
-		p.ByClass = maps.Clone(base.ByClass)
 		mutate(&p)
 		if _, err := encodeFrame(p); err == nil {
 			t.Errorf("%s: encoded", name)

@@ -28,6 +28,12 @@ type pointsRequest struct {
 	Model  string          `json:"model"`
 }
 
+// maxRequestBytes bounds a points or warm request body: a spec as large
+// as the public surface accepts, every one of MaxCampaignPoints indices
+// (at most four digits and a comma each), and a KiB for the keys and
+// the model fingerprint.
+const maxRequestBytes = repro.MaxSpecBytes + repro.MaxCampaignPoints*5 + 1<<10
+
 // Worker serves the shard-scoped campaign API. It wraps the same
 // engine the node's ordinary serving surface uses, so shard points
 // memoize into — and warm-restart from — the one suite cache.
@@ -78,7 +84,7 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req pointsRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		workerError(w, http.StatusBadRequest, fmt.Errorf("decoding points request: %w", err))
@@ -271,7 +277,7 @@ func (wk *Worker) ServeWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req warmRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		workerError(w, http.StatusBadRequest, fmt.Errorf("decoding warm request: %w", err))
@@ -296,7 +302,8 @@ func (wk *Worker) ServeWarm(w http.ResponseWriter, r *http.Request) {
 }
 
 // pullSnapshot fetches one peer's arc-filtered snapshot and installs
-// it.
+// it. The client names the peer, so the read stops at the largest
+// snapshot an honest peer's full cache can produce.
 func (wk *Worker) pullSnapshot(ctx context.Context, peer, arc string) (int, error) {
 	u := peer + SnapshotPath
 	if arc != "" {
@@ -315,9 +322,16 @@ func (wk *Worker) pullSnapshot(ctx context.Context, peer, arc string) (int, erro
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return 0, fmt.Errorf("peer answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	data, err := io.ReadAll(resp.Body)
+	tooLarge := fmt.Errorf("peer snapshot exceeds %d bytes", repro.MaxSnapshotBytes)
+	if resp.ContentLength > repro.MaxSnapshotBytes {
+		return 0, tooLarge
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, repro.MaxSnapshotBytes+1))
 	if err != nil {
 		return 0, err
+	}
+	if len(data) > repro.MaxSnapshotBytes {
+		return 0, tooLarge
 	}
 	return wk.eng.RestoreCache(data)
 }

@@ -58,6 +58,11 @@ func (c Class) String() string {
 // Classes lists all classes in the paper's reporting order.
 var Classes = []Class{Algorithm, Apps, Basic, Lcals, Polybench, Stream}
 
+// NumClasses is the number of classes. Class values run 0 to
+// NumClasses-1 in Classes order, so a class indexes a
+// [NumClasses]T array directly.
+const NumClasses = int(Stream) + 1
+
 // ExpectedCount is the number of kernels per class the paper states.
 var ExpectedCount = map[Class]int{
 	Algorithm: 6, Apps: 13, Basic: 16, Lcals: 11, Polybench: 13, Stream: 5,

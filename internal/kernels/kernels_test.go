@@ -16,8 +16,13 @@ func TestClassStrings(t *testing.T) {
 			t.Errorf("class %d has no name", int(c))
 		}
 	}
-	if len(Classes) != 6 {
-		t.Error("the paper defines six classes")
+	if len(Classes) != 6 || len(Classes) != NumClasses {
+		t.Errorf("the paper defines six classes; Classes has %d, NumClasses is %d", len(Classes), NumClasses)
+	}
+	for i, c := range Classes {
+		if int(c) != i {
+			t.Errorf("Classes[%d] is class %d: class arrays index by Class value", i, int(c))
+		}
 	}
 	total := 0
 	for _, n := range ExpectedCount {

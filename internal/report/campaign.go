@@ -154,10 +154,7 @@ func CampaignCSV(res core.CampaignResult) string {
 		"class,class_seconds,ratio_vs_base,total_seconds,mean_ratio,pareto,best_in_class\n")
 	for _, p := range res.Points {
 		for _, class := range kernels.Classes {
-			cell, ok := p.ByClass[class]
-			if !ok {
-				continue
-			}
+			cell := p.ByClass[class]
 			best := 0
 			if i, ok := res.BestByClass[class]; ok && i == p.Index {
 				best = 1

@@ -140,10 +140,7 @@ func CampaignTable(res core.CampaignResult) wire.Table {
 	)
 	for _, p := range res.Points {
 		for _, class := range kernels.Classes {
-			cell, ok := p.ByClass[class]
-			if !ok {
-				continue
-			}
+			cell := p.ByClass[class]
 			bestFlag := int64(0)
 			if i, ok := res.BestByClass[class]; ok && i == p.Index {
 				bestFlag = 1

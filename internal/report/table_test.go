@@ -149,6 +149,18 @@ func TestTable4Wire(t *testing.T) {
 }
 
 func TestCampaignTable(t *testing.T) {
+	uniform := func(secs, mean float64) (cells [kernels.NumClasses]core.CampaignCell) {
+		for c := range cells {
+			cells[c] = core.CampaignCell{Seconds: secs, Ratio: stats.Summary{Mean: mean}}
+		}
+		return cells
+	}
+	faster := uniform(2.0, 1.25)
+	faster[kernels.Stream] = core.CampaignCell{Seconds: 1.0, Ratio: stats.Summary{Mean: 1.5}}
+	best := map[kernels.Class]int{}
+	for _, c := range kernels.Classes {
+		best[c] = 1
+	}
 	res := core.CampaignResult{
 		Title: "Campaign: test",
 		Points: []core.CampaignPoint{
@@ -156,43 +168,42 @@ func TestCampaignTable(t *testing.T) {
 				Index: 0, Base: "SG2042", Machine: "SG2042", Threads: 64,
 				Placement: placement.Block, Prec: prec.F64, Cores: 64,
 				TotalSeconds: 10, MeanRatio: 1.0,
-				ByClass: map[kernels.Class]core.CampaignCell{
-					kernels.Basic: {Seconds: 2.5, Ratio: stats.Summary{Mean: 1.0}},
-				},
+				ByClass: uniform(2.5, 1.0),
 			},
 			{
 				Index: 1, Base: "SG2042", Machine: "SG2042[clock=2.5GHz]", Threads: 64,
 				Placement: placement.CyclicNUMA, Prec: prec.F32, Cores: 64,
 				TotalSeconds: 8, MeanRatio: 1.25,
-				ByClass: map[kernels.Class]core.CampaignCell{
-					kernels.Basic:  {Seconds: 2.0, Ratio: stats.Summary{Mean: 1.25}},
-					kernels.Stream: {Seconds: 1.0, Ratio: stats.Summary{Mean: 1.5}},
-				},
+				ByClass: faster,
 			},
 		},
-		BestByClass: map[kernels.Class]int{kernels.Basic: 1, kernels.Stream: 1},
+		BestByClass: best,
 		Pareto:      []int{1},
 	}
 	tab := CampaignTable(res)
 	validEncodable(t, tab)
-	if tab.Kind != "campaign" || tab.NumRows() != 3 {
+	// One row per (point, class), classes in kernels.Classes order.
+	if tab.Kind != "campaign" || tab.NumRows() != 2*kernels.NumClasses {
 		t.Fatalf("kind %q rows %d", tab.Kind, tab.NumRows())
 	}
-	if !reflect.DeepEqual(tab.Columns[0].Ints, []int64{0, 1, 1}) {
+	if !reflect.DeepEqual(tab.Columns[0].Ints, []int64{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}) {
 		t.Errorf("point column %v", tab.Columns[0].Ints)
 	}
-	if !reflect.DeepEqual(tab.Columns[4].Strings, []string{"block", "cyclic", "cyclic"}) {
+	if tab.Columns[4].Strings[5] != "block" || tab.Columns[4].Strings[6] != "cyclic" {
 		t.Errorf("placement column %v", tab.Columns[4].Strings)
 	}
-	// Point 0 is dominated, point 1 is on the front and best in both
-	// classes: flags are per-row.
-	if !reflect.DeepEqual(tab.Columns[12].Ints, []int64{0, 1, 1}) {
+	if tab.Columns[7].Strings[0] != "Algorithm" || tab.Columns[7].Strings[11] != "Stream" {
+		t.Errorf("class column %v", tab.Columns[7].Strings)
+	}
+	// Point 0 is dominated, point 1 is on the front and best in every
+	// class: flags are per-row.
+	if !reflect.DeepEqual(tab.Columns[12].Ints, []int64{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}) {
 		t.Errorf("pareto column %v", tab.Columns[12].Ints)
 	}
-	if !reflect.DeepEqual(tab.Columns[13].Ints, []int64{0, 1, 1}) {
+	if !reflect.DeepEqual(tab.Columns[13].Ints, []int64{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}) {
 		t.Errorf("best_in_class column %v", tab.Columns[13].Ints)
 	}
-	if !reflect.DeepEqual(tab.Columns[8].Floats, []float64{2.5, 2.0, 1.0}) {
+	if !reflect.DeepEqual(tab.Columns[8].Floats, []float64{2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0}) {
 		t.Errorf("class_seconds column %v", tab.Columns[8].Floats)
 	}
 }

@@ -86,14 +86,11 @@ func campaignPointLine(p repro.CampaignPoint) campaignPointJSON {
 		Prec: p.Prec.String(), Cores: p.Cores,
 		TotalSeconds: p.TotalSeconds, MeanRatio: p.MeanRatio,
 	}
-	for _, class := range repro.Classes() {
-		cell, ok := p.ByClass[class]
-		if !ok {
-			continue
+	out.Classes = make([]campaignClassJSON, len(p.ByClass))
+	for c, cell := range p.ByClass {
+		out.Classes[c] = campaignClassJSON{
+			Class: repro.Class(c).String(), Seconds: cell.Seconds, Ratio: cell.Ratio.Mean,
 		}
-		out.Classes = append(out.Classes, campaignClassJSON{
-			Class: class.String(), Seconds: cell.Seconds, Ratio: cell.Ratio.Mean,
-		})
 	}
 	return out
 }
@@ -120,7 +117,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, repro.MaxSpecBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return

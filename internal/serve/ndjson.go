@@ -33,11 +33,6 @@ var lineBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 2048); return &b },
 }
 
-// ndjsonClasses caches the paper's class order once: repro.Classes()
-// returns a defensive copy per call, which would be one allocation per
-// point line.
-var ndjsonClasses = repro.Classes()
-
 const jsonHex = "0123456789abcdef"
 
 // appendJSONString appends s as a JSON string literal, replicating
@@ -150,24 +145,14 @@ func appendCampaignPoint(b []byte, p repro.CampaignPoint) ([]byte, error) {
 		return nil, err
 	}
 	b = append(b, `,"classes":`...)
-	// campaignPointLine leaves Classes nil — rendered as null — when no
-	// canonical class appears in ByClass; an open bracket is only
-	// committed once the first cell matches.
-	mark := len(b)
-	first := true
-	for _, class := range ndjsonClasses {
-		cell, ok := p.ByClass[class]
-		if !ok {
-			continue
-		}
-		if first {
+	for c, cell := range p.ByClass {
+		if c == 0 {
 			b = append(b, '[')
 		} else {
 			b = append(b, ',')
 		}
-		first = false
 		b = append(b, `{"class":`...)
-		b = appendJSONString(b, class.String())
+		b = appendJSONString(b, repro.Class(c).String())
 		b = append(b, `,"seconds":`...)
 		if b, err = appendJSONFloat(b, cell.Seconds); err != nil {
 			return nil, err
@@ -178,11 +163,6 @@ func appendCampaignPoint(b []byte, p repro.CampaignPoint) ([]byte, error) {
 		}
 		b = append(b, '}')
 	}
-	if first {
-		b = append(b[:mark], `null`...)
-	} else {
-		b = append(b, ']')
-	}
-	b = append(b, '}', '\n')
+	b = append(b, ']', '}', '\n')
 	return b, nil
 }

@@ -24,7 +24,6 @@ func encodeViaStdlib(t *testing.T, p repro.CampaignPoint) []byte {
 }
 
 func ndjsonTestPoint() repro.CampaignPoint {
-	classes := repro.Classes()
 	p := repro.CampaignPoint{
 		Index:        3,
 		Base:         "SG2042",
@@ -33,10 +32,9 @@ func ndjsonTestPoint() repro.CampaignPoint {
 		Cores:        64,
 		TotalSeconds: 12.345678901234567,
 		MeanRatio:    1.0625,
-		ByClass:      map[repro.Class]repro.CampaignCell{},
 	}
-	for i, c := range classes {
-		p.ByClass[c] = repro.CampaignCell{
+	for i := range p.ByClass {
+		p.ByClass[i] = repro.CampaignCell{
 			Seconds: 0.5 + float64(i)*0.25,
 			Ratio:   stats.Summary{Mean: 1 + float64(i)*0.125},
 		}
@@ -53,8 +51,8 @@ func TestAppendCampaignPointMatchesStdlib(t *testing.T) {
 	base := ndjsonTestPoint()
 	cases := map[string]func(p *repro.CampaignPoint){
 		"typical": func(p *repro.CampaignPoint) {},
-		"empty classes": func(p *repro.CampaignPoint) {
-			p.ByClass = nil
+		"zero cells": func(p *repro.CampaignPoint) {
+			p.ByClass = repro.CampaignPoint{}.ByClass
 		},
 		"zero and negative zero": func(p *repro.CampaignPoint) {
 			p.TotalSeconds = 0

@@ -307,7 +307,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	// A legitimate batch is a few hundred bytes of names; bound the
 	// body so a client cannot stream an unbounded request into memory.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, repro.MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))

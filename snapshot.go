@@ -37,3 +37,7 @@ func (e *Engine) RestoreCache(data []byte) (int, error) {
 
 // SnapshotVersion is the current snapshot schema version.
 const SnapshotVersion = core.SnapshotVersion
+
+// MaxSnapshotBytes is the largest snapshot a full suite cache
+// produces; a reader of untrusted snapshots bounds its read with it.
+const MaxSnapshotBytes = core.MaxSnapshotBytes
