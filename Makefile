@@ -155,10 +155,10 @@ determinism-dist:
 # 4, swept over three fault schedules (FABRIC_FAULT_SEED picks the
 # victims and frames). Then the real binary: a three-worker fleet
 # behind a coordinator with a fast prober; worker 1 is killed (campaign
-# must stay byte-identical to a single process), restarted on its old
-# port (prober revives it, peers snapshot-warm it — all visible in the
-# coordinator's /metrics and in the worker's own request counters), and
-# finally left as the sole survivor serving an entire campaign alone.
+# must stay byte-identical to a single process), restarted cold on its
+# old port (the prober revives it — visible in the coordinator's
+# /metrics and in the worker's own request counters), and finally left
+# as the sole survivor serving an entire campaign alone.
 # Every phase uses a distinct spec so the coordinator's render cache
 # never replays a previous phase's bytes.
 determinism-chaos:
@@ -207,9 +207,7 @@ determinism-chaos:
 	echo "phase 3: worker 1 restarted on its old port"; \
 	./bin/sg2042d -addr 127.0.0.1:18153 -worker > bin/chaos-w1b.log 2>&1 & w1=$$!; \
 	waitmetric 18156 sg2042d_fabric_probe_revivals_total 1; \
-	waitmetric 18156 sg2042d_fabric_warm_joins_total 1; \
 	diffphase examples/chaos/rejoin.json rejoined; \
-	waitmetric 18153 'sg2042d_requests_total{endpoint="fabric-warm"}' 1; \
 	waitmetric 18153 'sg2042d_requests_total{endpoint="fabric-healthz"}' 1; \
 	echo "phase 4: restarted worker as sole survivor"; \
 	kill $$w2 $$w3; wait $$w2 $$w3 2>/dev/null || true; \

@@ -167,7 +167,7 @@ func TestWorkerServesShardEndpoint(t *testing.T) {
 }
 
 // TestWorkerServesSelfHealingSurface: a -worker daemon answers the
-// prober's healthz and the peer snapshot endpoint.
+// prober's healthz and mounts no cache-shipping route.
 func TestWorkerServesSelfHealingSurface(t *testing.T) {
 	url, cancel, done := startDaemon(t, "-worker", "-parallel", "2")
 	defer stopDaemon(t, cancel, done)
@@ -185,7 +185,15 @@ func TestWorkerServesSelfHealingSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("fabric snapshot: status %d, want 200", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/fabric/snapshot: status %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Post(url+"/v1/fabric/warm", "application/json", strings.NewReader(`{"peers":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/fabric/warm: status %d, want 404", resp.StatusCode)
 	}
 }

@@ -39,14 +39,14 @@
 // listener is up throughout, and /livez answers 200.
 //
 // Distributed campaigns: -worker additionally mounts the fabric's
-// shard-scoped endpoints (points, healthz, snapshot, warm); -coordinate
+// shard-scoped endpoints (points, healthz); -coordinate
 // runs POST /v1/campaign through a coordinator that shards the grid
 // over the listed workers, byte-identical to a single process and
 // resilient to worker loss (README has a quickstart). The coordinator
 // health-probes every worker (-probe-interval/-probe-timeout/
 // -probe-backoff): a dead worker leaves the ring, a recovered one
-// rejoins mid-campaign and is snapshot-warmed from its ring peers — no
-// coordinator restart. Every shard frame carries a CRC-32, and a worker
+// rejoins mid-campaign and evaluates its arcs again — no coordinator
+// restart. Every shard frame carries a CRC-32, and a worker
 // built with a different model answers the coordinator's model
 // fingerprint with 409 and stays out of the fleet. -restore loads a
 // suite-cache snapshot at boot — a restarted worker answers its shard
@@ -138,8 +138,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	})
 	if len(targets) > 0 {
 		// Health probing makes the fleet self-healing: a worker that dies
-		// leaves the ring, one that recovers rejoins it (snapshot-warmed
-		// from its peers) — all without a coordinator restart.
+		// leaves the ring, one that recovers rejoins it — all without a
+		// coordinator restart.
 		s.StartFabricProber(ctx, fabric.ProbeConfig{
 			Interval: *probeInterval,
 			Timeout:  *probeTimeout,

@@ -62,18 +62,6 @@ import (
 // rejects versions it does not know.
 const SnapshotVersion = 1
 
-// snapshotEntryBytes bounds one encoded entry: 1,879 bytes of framing,
-// key fields, kernel and class columns and seconds, plus the machine
-// label twice (it titles both frames), which leaves room for labels of
-// about 80 bytes.
-const snapshotEntryBytes = 2 << 10
-
-// MaxSnapshotBytes is the largest snapshot a full suite cache
-// produces: maxSuiteEntries entries of at most snapshotEntryBytes
-// each, 128 MiB. Readers of untrusted snapshots bound their reads
-// with it.
-const MaxSnapshotBytes = maxSuiteEntries * snapshotEntryBytes
-
 // Snapshot frame kinds.
 const (
 	snapHeaderKind = "snapshot"
@@ -92,23 +80,11 @@ type snapshotEntry struct {
 // output is deterministic: entries are sorted by their canonical key,
 // so two snapshots of the same cache state are byte-identical.
 func (st *Study) SnapshotCache() ([]byte, error) {
-	return st.SnapshotCacheIf(nil)
-}
-
-// SnapshotCacheIf is SnapshotCache restricted to entries whose machine
-// fingerprint keep accepts (nil keeps everything). The distributed
-// fabric's snapshot shipping uses it to carve a worker's cache down to
-// one ring arc: a peer answers GET /v1/fabric/snapshot?arc=... with
-// exactly the entries whose fingerprints the arc owns, so a rejoining
-// worker pulls its slice of the key space and nothing else.
-func (st *Study) SnapshotCacheIf(keep func(machineFP uint64) bool) ([]byte, error) {
 	var entries []snapshotEntry
 	if st.cache != nil {
 		// The slices are the cache's own; encoding only reads them.
 		st.cache.Range(func(k suiteKey, secs []float64) {
-			if keep == nil || keep(k.machineFP) {
-				entries = append(entries, snapshotEntry{key: k, secs: secs})
-			}
+			entries = append(entries, snapshotEntry{key: k, secs: secs})
 		})
 	}
 	sortSnapshotEntries(entries)

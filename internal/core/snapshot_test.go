@@ -251,31 +251,6 @@ func TestRestoreRejectsPoisonedEntries(t *testing.T) {
 	}
 }
 
-// TestSnapshotEntryBytesBound: an entry under a preset's label or a
-// four-axis derived one encodes within snapshotEntryBytes, so a full
-// cache's snapshot fits MaxSnapshotBytes.
-func TestSnapshotEntryBytesBound(t *testing.T) {
-	empty, err := NewStudy().SnapshotCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, label := range []string{"SG2042", "SG2042x2/c64/2.5GHz/v256/n8"} {
-		st := NewStudy()
-		m := *machine.SG2042()
-		m.Label = label
-		if _, err := st.RunSuite(mustMachineCfg(&m, 64, prec.F64)); err != nil {
-			t.Fatal(err)
-		}
-		data, err := st.SnapshotCache()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := len(data) - len(empty); n > snapshotEntryBytes {
-			t.Errorf("entry labelled %q encodes to %d bytes, bound %d", label, n, snapshotEntryBytes)
-		}
-	}
-}
-
 // resized cuts s to n elements or pads it with copies of its first.
 func resized[T any](s []T, n int) []T {
 	for len(s) > 0 && len(s) < n {

@@ -23,13 +23,6 @@ import (
 // shard elsewhere.
 const DefaultPointTimeout = 60 * time.Second
 
-// warmTimeout bounds one warm-join shipment (the POST to the joining
-// worker, which in turn pulls from its peers).
-const warmTimeout = 60 * time.Second
-
-// warmRetryDelay spaces retried warm shipments.
-const warmRetryDelay = 250 * time.Millisecond
-
 // AllWorkersDownError reports a campaign that cannot complete because
 // every worker has been excluded. Failures maps each worker to why it
 // was excluded. The HTTP layer answers it with 502 Bad Gateway and a
@@ -55,16 +48,13 @@ func (e *AllWorkersDownError) Error() string {
 type FabricStats struct {
 	ProbeDeaths   uint64 // live→dead transitions observed by the prober
 	ProbeRevivals uint64 // dead→live transitions (rejoins)
-	WarmJoins     uint64 // warm-join shipments completed
-	WarmInstalled uint64 // cache entries installed across all warm-joins
-	WarmErrors    uint64 // failed shipments plus per-peer pull failures
 	Members       []MemberStatus
 }
 
 // Coordinator shards campaigns over a dynamic fleet of workers. Fleet
 // state lives in a Membership shared with the health prober, so a
-// worker that dies mid-campaign is excluded, and one that recovers —
-// or is added — takes its arcs back without a coordinator restart.
+// worker that dies mid-campaign is excluded, and one that recovers
+// takes its arcs back without a coordinator restart.
 // Campaign state itself stays per-Run: each Run re-expands the grid,
 // assigns points by consistent hash on the machine fingerprint, and
 // holds its own exactly-once bookkeeping.
@@ -118,9 +108,10 @@ func (c *Coordinator) Stats() FabricStats {
 }
 
 // StartProber launches health probing over the fleet: every worker is
-// probed on cfg's cadence, dying and reviving in the shared Membership,
-// with a warm-join shipment fired on every revival. Call StopProber
-// (or cancel ctx) to stop.
+// probed on cfg's cadence, dying and reviving in the shared Membership.
+// A revived worker rejoins cold: it evaluates its arcs again, filling
+// its own suite cache as it goes. Call StopProber (or cancel ctx) to
+// stop.
 func (c *Coordinator) StartProber(ctx context.Context, cfg ProbeConfig) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -141,119 +132,16 @@ func (c *Coordinator) StopProber() {
 	}
 }
 
-// AddWorker joins a new worker to a running fleet: the ring is rebuilt
-// (only arcs the newcomer's vnodes capture move), the prober starts
-// watching it, and a warm-join shipment warms it for the arcs it just
-// took over. Campaigns dispatched after the join route to it; in-flight
-// campaigns finish on their existing assignments.
-func (c *Coordinator) AddWorker(target string) error {
-	if err := c.mem.Add(target); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	p := c.prober
-	c.mu.Unlock()
-	if p != nil {
-		p.Watch(target)
-	}
-	go c.shipWarm(target)
-	return nil
-}
-
-// onProbeTransition is the prober's callback: bookkeeping on death,
-// bookkeeping plus async snapshot shipping on revival.
+// onProbeTransition is the prober's callback: it counts deaths and
+// revivals.
 func (c *Coordinator) onProbeTransition(target string, live bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if live {
 		c.stats.ProbeRevivals++
 	} else {
 		c.stats.ProbeDeaths++
 	}
-	c.mu.Unlock()
-	if live {
-		go c.shipWarm(target)
-	}
-}
-
-// warmAttempts bounds how many times a warm shipment is retried when
-// the POST itself fails or the worker reached none of its peers; each
-// failed attempt counts in WarmErrors.
-const warmAttempts = 3
-
-// shipWarm tells a (re)joined worker to pull its arcs' suite-cache
-// entries from its live peers: POST /v1/fabric/warm with the peer list
-// and the FormatArcs encoding of the arcs the ring routes to the
-// worker. The shipment is retried a bounded number of times if it
-// fails outright or the worker reached no peer at all (the edge fires
-// once per revival, so a transient pull failure would otherwise leave
-// the worker cold for good). Residual failure is non-fatal — a worker
-// that could not warm serves its shard cold, bit-identically, just
-// slower — but every failed shipment and every per-peer pull failure
-// the worker reports is counted in WarmErrors so degraded warmth is
-// observable.
-func (c *Coordinator) shipWarm(target string) {
-	arcs := c.mem.Ring().Arcs(target)
-	var peers []string
-	for _, t := range c.mem.Live() {
-		if t != target {
-			peers = append(peers, t)
-		}
-	}
-	if len(arcs) == 0 || len(peers) == 0 {
-		return
-	}
-	wreq := warmRequest{Peers: peers, Arc: FormatArcs(arcs)}
-	for attempt := 0; attempt < warmAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(warmRetryDelay)
-		}
-		wr, err := c.postWarm(target, wreq)
-		c.mu.Lock()
-		if err != nil {
-			c.stats.WarmErrors++
-			c.mu.Unlock()
-			continue
-		}
-		c.stats.WarmErrors += uint64(len(wr.Errors))
-		if wr.Peers == 0 {
-			// The worker answered but reached no peer — likely a
-			// transient fleet hiccup; try the whole shipment again.
-			c.mu.Unlock()
-			continue
-		}
-		c.stats.WarmJoins++
-		c.stats.WarmInstalled += uint64(wr.Installed)
-		c.mu.Unlock()
-		return
-	}
-}
-
-// postWarm performs one warm-join POST and decodes the worker's report.
-func (c *Coordinator) postWarm(target string, wreq warmRequest) (warmResponse, error) {
-	var wr warmResponse
-	body, err := json.Marshal(wreq)
-	if err != nil {
-		return wr, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), warmTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+WarmPath, bytes.NewReader(body))
-	if err != nil {
-		return wr, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return wr, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return wr, fmt.Errorf("fabric: warm shipment to %s answered %s", target, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		return wr, err
-	}
-	return wr, nil
 }
 
 // workerMsg is one event from a request goroutine: an evaluated

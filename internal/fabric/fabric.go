@@ -33,6 +33,12 @@
 //     to survivors; the campaign completes as long as one worker
 //     lives, and fails with *AllWorkersDownError once none do.
 //
+//   - Membership and Prober (membership.go, health.go): the fleet is
+//     fixed when the coordinator starts. The prober marks workers dead
+//     and live again from their health answers, and a revived worker
+//     takes back exactly its own arcs. It rejoins cold, evaluating them
+//     again, unless it booted from a cache snapshot.
+//
 // The point record is a fixed-order body with no field names or types:
 //
 //	index                            uvarint
@@ -91,26 +97,9 @@ const PointsPath = "/v1/fabric/points"
 // correct fabric worker, so membership probes must not flap on warmth.
 const HealthPath = "/v1/fabric/healthz"
 
-// SnapshotPath is the worker's suite-cache snapshot endpoint:
-// GET ?arc=lo-hi,... answers the cache entries whose machine
-// fingerprints fall in the arcs (core snapshot format, arc-filtered);
-// no arc parameter means the full cache. Peers serve a rejoining
-// worker's warm-join pull from here.
-const SnapshotPath = "/v1/fabric/snapshot"
-
-// WarmPath is the worker's warm-join trigger: POST {"peers": [...],
-// "arc": "lo-hi,..."} makes the worker pull its arcs' snapshot from
-// each peer and install the entries into its own suite cache. The
-// coordinator posts it on every rejoin/join transition.
-const WarmPath = "/v1/fabric/warm"
-
 // ContentType is the media type of a worker's point-frame stream: a
 // sequence of CRC-checked, length-prefixed wire frames, one per point.
 const ContentType = "application/vnd.sg2042.fabric-frames"
-
-// SnapshotContentType is the media type of an arc-filtered suite-cache
-// snapshot (the core snapshot wire format).
-const SnapshotContentType = "application/vnd.sg2042.cache-snapshot"
 
 // modelFingerprint identifies the performance model this build
 // evaluates and the point record it ships. It is computed once per

@@ -106,7 +106,7 @@ func TestShardedCampaignMatchesSingleProcess(t *testing.T) {
 // complete on the survivors with byte-identical output every time.
 func TestWorkerKilledMidGrid(t *testing.T) {
 	want := singleProcess(t)
-	rng := rand.New(rand.NewSource(faultSeed(42))) // fixed seed: failures reproduce
+	rng := rand.New(rand.NewSource(faultSeed(t, 42))) // fixed seed: failures reproduce
 	for round := 0; round < 4; round++ {
 		victim := rng.Intn(3)
 		frame := 1 + rng.Intn(5)
@@ -134,7 +134,7 @@ func TestWorkerDownFromTheStart(t *testing.T) {
 // re-dispatches the worker's outstanding points — never drops them.
 func TestCorruptStreamRedispatched(t *testing.T) {
 	want := singleProcess(t)
-	rng := rand.New(rand.NewSource(faultSeed(7)))
+	rng := rand.New(rand.NewSource(faultSeed(t, 7)))
 	for round := 0; round < 3; round++ {
 		victim := rng.Intn(3)
 		frame := 1 + rng.Intn(4)

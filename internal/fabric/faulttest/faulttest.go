@@ -39,10 +39,9 @@ type Node struct {
 }
 
 // NewCluster starts n workers over the default machine registry. Each
-// worker serves the full fabric surface — points, healthz, snapshot,
-// warm — with the kill switch wrapping only the points stream, so
-// health probes and snapshot shipping are never garbled by an armed
-// fault.
+// worker serves the full fabric surface — points and healthz — with
+// the kill switch wrapping only the points stream, so health probes
+// are never garbled by an armed fault.
 func NewCluster(n int) *Cluster {
 	c := &Cluster{}
 	for i := 0; i < n; i++ {
@@ -63,8 +62,6 @@ func (n *Node) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle(fabric.PointsPath, n.ks.wrap(wk))
 	mux.HandleFunc(fabric.HealthPath, wk.ServeHealth)
-	mux.HandleFunc(fabric.SnapshotPath, wk.ServeSnapshot)
-	mux.HandleFunc(fabric.WarmPath, wk.ServeWarm)
 	return mux
 }
 
@@ -115,9 +112,9 @@ func (c *Cluster) Kill(i int) {
 }
 
 // Restart brings a killed worker back on its old address with a fresh
-// engine (a bounced process keeps nothing in memory — warmth, if any,
-// must be shipped to it). The kill switch carries over, disarmed or
-// not, and keeps counting frames where it left off.
+// engine (a bounced process keeps nothing in memory, so it rejoins
+// cold). The kill switch carries over, disarmed or not, and keeps
+// counting frames where it left off.
 func (c *Cluster) Restart(i int) error {
 	n := c.nodes[i]
 	l, err := net.Listen("tcp", n.addr)

@@ -48,21 +48,20 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 // rejoins the ring without any coordinator restart, and campaigns
 // dispatched after the transition route to it again. Transitions (not
 // steady states) fire the onTransition callback, which is where the
-// coordinator hangs its rebalance bookkeeping and snapshot shipping.
+// coordinator counts deaths and revivals.
 type Prober struct {
 	mem    *Membership
 	client *http.Client
 	cfg    ProbeConfig
 	// onTransition, when non-nil, runs on every membership edge this
-	// prober causes: live reports the new state. Called off the probe
-	// goroutine; implementations must be concurrency-safe.
+	// prober causes: live reports the new state. It runs on the
+	// target's probe goroutine; implementations must be
+	// concurrency-safe.
 	onTransition func(target string, live bool)
 
-	mu      sync.Mutex
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	watched map[string]bool
+	mu     sync.Mutex
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // NewProber builds a prober over a membership. nil client means a
@@ -77,32 +76,23 @@ func NewProber(mem *Membership, cfg ProbeConfig, client *http.Client, onTransiti
 		client:       client,
 		cfg:          cfg,
 		onTransition: onTransition,
-		watched:      make(map[string]bool),
 	}
 }
 
-// Start launches one probe loop per current member and returns. The
-// loops stop when ctx is cancelled; Wait blocks until they have.
+// Start launches one probe loop per member and returns; a second call
+// does nothing. The loops stop when ctx is cancelled or Stop is
+// called.
 func (p *Prober) Start(ctx context.Context) {
 	p.mu.Lock()
-	p.ctx, p.cancel = context.WithCancel(ctx)
-	p.mu.Unlock()
-	for _, t := range p.mem.Targets() {
-		p.Watch(t)
-	}
-}
-
-// Watch adds a probe loop for one target (idempotent). AddWorker calls
-// it so a worker joined mid-flight is probed like any founding member.
-func (p *Prober) Watch(target string) {
-	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ctx == nil || p.watched[target] {
+	if p.cancel != nil {
 		return
 	}
-	p.watched[target] = true
-	p.wg.Add(1)
-	go p.loop(p.ctx, target)
+	ctx, p.cancel = context.WithCancel(ctx)
+	for _, t := range p.mem.Targets() {
+		p.wg.Add(1)
+		go p.loop(ctx, t)
+	}
 }
 
 // Stop cancels the probe loops and waits for them to exit.

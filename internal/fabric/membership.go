@@ -1,24 +1,23 @@
 package fabric
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
 
 // Membership is the fleet's dynamic view: which workers exist (the
-// ring) and which of them are currently believed live. The ring itself
-// changes only when a worker is added — death and recovery are
-// exclusion-set transitions, so a bounced worker keeps its vnodes and
-// takes back exactly the arcs it lost (its peers keep theirs, and
-// their warm caches with them). One Membership is shared by every
-// campaign a coordinator runs and by its health prober; all methods
-// are safe for concurrent use.
+// ring, fixed at construction) and which of them are currently
+// believed live. Death and recovery are exclusion-set transitions, so
+// a bounced worker keeps its vnodes and takes back exactly the arcs it
+// lost (its peers keep theirs, and their warm caches with them). One
+// Membership is shared by every campaign a coordinator runs and by its
+// health prober; all methods are safe for concurrent use.
 type Membership struct {
-	mu      sync.Mutex
-	ring    *Ring
-	targets []string
-	state   map[string]*memberState
+	ring    *Ring    // immutable
+	targets []string // immutable
+
+	mu    sync.Mutex
+	state map[string]*memberState
 }
 
 type memberState struct {
@@ -35,7 +34,7 @@ type MemberStatus struct {
 	Reason string
 }
 
-// NewMembership builds a membership over the initial fleet, everyone
+// NewMembership builds a membership over the fleet, everyone
 // optimistically live (a worker that is in fact down fails its first
 // dispatch or probe and transitions then).
 func NewMembership(targets []string) (*Membership, error) {
@@ -54,18 +53,11 @@ func NewMembership(targets []string) (*Membership, error) {
 	return m, nil
 }
 
-// Ring returns the current ring. The ring is immutable; Add swaps in a
-// new one, so callers may hold the returned pointer across calls.
-func (m *Membership) Ring() *Ring {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ring
-}
+// Ring returns the fleet's ring.
+func (m *Membership) Ring() *Ring { return m.ring }
 
-// Targets returns every member, live or dead, in join order.
+// Targets returns every member, live or dead, in fleet order.
 func (m *Membership) Targets() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return append([]string(nil), m.targets...)
 }
 
@@ -83,19 +75,6 @@ func (m *Membership) DeadSet() map[string]bool {
 	return dead
 }
 
-// Live returns the live targets in join order.
-func (m *Membership) Live() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var live []string
-	for _, t := range m.targets {
-		if m.state[t].live {
-			live = append(live, t)
-		}
-	}
-	return live
-}
-
 // MarkDead records a worker as dead with the given reason, returning
 // true exactly on a live→dead transition. Unknown targets are ignored.
 func (m *Membership) MarkDead(target, reason string) bool {
@@ -111,7 +90,7 @@ func (m *Membership) MarkDead(target, reason string) bool {
 }
 
 // MarkLive records a worker as live, returning true exactly on a
-// dead→live transition — the rejoin edge snapshot shipping hangs off.
+// dead→live transition (a rejoin).
 func (m *Membership) MarkLive(target string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -148,28 +127,6 @@ func (m *Membership) Reason(target string) string {
 		return st.reason
 	}
 	return ""
-}
-
-// Add joins a new worker to the fleet, rebuilding the ring over the
-// grown target list. Ring construction sorts all vnodes, so ownership
-// after an Add is identical to a ring built over the full list at once
-// — only arcs the new worker's vnodes capture move (the rebalancing
-// property ring_test.go pins). The new member starts live; the prober
-// corrects it if it is not.
-func (m *Membership) Add(target string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.state[target]; ok {
-		return fmt.Errorf("fabric: worker %q already a member", target)
-	}
-	ring, err := NewRing(append(append([]string(nil), m.targets...), target))
-	if err != nil {
-		return err
-	}
-	m.ring = ring
-	m.targets = append(m.targets, target)
-	m.state[target] = &memberState{live: true}
-	return nil
 }
 
 // Status reports every member's state, sorted by target for stable

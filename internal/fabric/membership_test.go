@@ -15,8 +15,8 @@ func TestMembershipTransitions(t *testing.T) {
 	m := newTestMembership(t, 3)
 	w := ringTargets(3)[1]
 
-	if len(m.Live()) != 3 {
-		t.Fatalf("fresh membership has %d live, want 3", len(m.Live()))
+	if dead := m.DeadSet(); len(dead) != 0 {
+		t.Fatalf("fresh membership has dead members %v, want none", dead)
 	}
 	if !m.MarkDead(w, "connection refused") {
 		t.Fatal("first MarkDead did not report a transition")
@@ -59,33 +59,5 @@ func TestMembershipEpochCountsRevivals(t *testing.T) {
 	}
 	if got := m.Epoch("http://nobody:1"); got != -1 {
 		t.Fatalf("unknown target epoch = %d, want -1", got)
-	}
-}
-
-func TestMembershipAdd(t *testing.T) {
-	m := newTestMembership(t, 2)
-	joiner := "http://w9:8042"
-	if err := m.Add(joiner); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Add(joiner); err == nil {
-		t.Fatal("duplicate Add accepted")
-	}
-	if got := len(m.Targets()); got != 3 {
-		t.Fatalf("Targets after Add = %d, want 3", got)
-	}
-	// The new ring must route to the joiner for at least some keys.
-	found := false
-	for _, k := range sampleKeys(512) {
-		if ownerOf(t, m.Ring(), k, nil) == joiner {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("joiner %s owns nothing after Add", joiner)
-	}
-	if m.Epoch(joiner) != 0 {
-		t.Fatalf("joiner epoch = %d, want 0", m.Epoch(joiner))
 	}
 }

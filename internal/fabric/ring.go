@@ -3,8 +3,6 @@ package fabric
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // vnodes is how many virtual nodes each worker contributes to the
@@ -75,81 +73,6 @@ func (r *Ring) Owner(key uint64, excluded map[string]bool) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("fabric: all workers excluded")
-}
-
-// HashRange is one half-open arc (Lo, Hi] of the ring's 64-bit key
-// space. Lo > Hi means the arc wraps through the top of the space;
-// Lo == Hi means the full circle (a single-vnode ring owns everything).
-type HashRange struct {
-	Lo, Hi uint64
-}
-
-// Contains reports whether the key falls inside the arc.
-func (h HashRange) Contains(key uint64) bool {
-	if h.Lo == h.Hi {
-		return true
-	}
-	if h.Lo < h.Hi {
-		return key > h.Lo && key <= h.Hi
-	}
-	return key > h.Lo || key <= h.Hi
-}
-
-// Arcs returns the key-space arcs the target owns on the full ring
-// (exclusions ignored): one (predecessor, vnode] interval per vnode of
-// the target. A (re)joining worker warms exactly these arcs from its
-// peers — they are the keys the ring will route to it.
-func (r *Ring) Arcs(target string) []HashRange {
-	var arcs []HashRange
-	for i, p := range r.points {
-		if p.target != target {
-			continue
-		}
-		prev := r.points[(i-1+len(r.points))%len(r.points)]
-		arcs = append(arcs, HashRange{Lo: prev.hash, Hi: p.hash})
-	}
-	return arcs
-}
-
-// FormatArcs renders arcs as the snapshot endpoint's ?arc= parameter:
-// comma-separated lo-hi pairs in fixed-width hex. The encoding is part
-// of the fabric protocol (worker and coordinator may be different
-// builds), so it is frozen like the ring hash.
-func FormatArcs(arcs []HashRange) string {
-	var b strings.Builder
-	for i, a := range arcs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%016x-%016x", a.Lo, a.Hi)
-	}
-	return b.String()
-}
-
-// ParseArcs decodes FormatArcs output. An empty string is an empty arc
-// list (the snapshot endpoint treats it as "everything").
-func ParseArcs(s string) ([]HashRange, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	arcs := make([]HashRange, 0, len(parts))
-	for _, part := range parts {
-		lo, hi, ok := strings.Cut(part, "-")
-		if !ok {
-			return nil, fmt.Errorf("fabric: arc %q is not lo-hi", part)
-		}
-		l, err := strconv.ParseUint(lo, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: arc bound %q: %w", lo, err)
-		}
-		h, err := strconv.ParseUint(hi, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: arc bound %q: %w", hi, err)
-		}
-		arcs = append(arcs, HashRange{Lo: l, Hi: h})
-	}
-	return arcs, nil
 }
 
 // fnv1a is the 64-bit FNV-1a of s — the same hash family the machine

@@ -42,15 +42,19 @@ var wideSpecJSON = []byte(`{
 
 // faultSeed returns the seed for a seeded fault schedule, overridable
 // via FABRIC_FAULT_SEED so the chaos CI job can sweep several schedules
-// over the same binaries (make determinism-chaos).
-func faultSeed(def int64) int64 {
-	if s := os.Getenv("FABRIC_FAULT_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err == nil {
-			return v
-		}
+// over the same binaries (make determinism-chaos). A value that does
+// not parse fails the test rather than silently rerunning the default.
+func faultSeed(t *testing.T, def int64) int64 {
+	t.Helper()
+	s := os.Getenv("FABRIC_FAULT_SEED")
+	if s == "" {
+		return def
 	}
-	return def
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.Fatalf("FABRIC_FAULT_SEED=%q: %v", s, err)
+	}
+	return v
 }
 
 // evalDirect is singleProcess for an arbitrary spec.
@@ -142,9 +146,8 @@ func waitForStats(t *testing.T, coord *fabric.Coordinator, what string, cond fun
 // TestWorkerRestartRejoins is the self-healing acceptance path: a
 // three-worker fleet under a live prober loses a worker, keeps serving
 // byte-identical campaigns on the survivors, then the worker restarts
-// on its old address — cold — and the prober revives it, ships it peer
-// snapshots covering its arcs, and routes to it again. No coordinator
-// restart anywhere.
+// on its old address — cold — and the prober revives it and routes to
+// it again. No coordinator restart anywhere.
 func TestWorkerRestartRejoins(t *testing.T) {
 	want := evalDirect(t, wideSpecJSON)
 	cluster := faulttest.NewCluster(3)
@@ -157,40 +160,39 @@ func TestWorkerRestartRejoins(t *testing.T) {
 	})
 	defer coord.StopProber()
 
-	// Phase 1: full fleet.
+	// Phase 1: full fleet. The victim is the worker that served the
+	// most points: the ring's share of the key space depends on the
+	// workers' ephemeral ports and can leave one worker no point.
 	assertIdentical(t, want, runCoord(t, coord, wideSpecJSON))
+	victim := 0
+	for i := 1; i < cluster.Len(); i++ {
+		if cluster.Frames(i) > cluster.Frames(victim) {
+			victim = i
+		}
+	}
 
-	// Phase 2: worker 1 dies. The prober notices; the survivors absorb
-	// its arcs — and, by evaluating them, cache exactly the entries the
-	// restarted worker will be shipped.
-	cluster.Kill(1)
+	// Phase 2: the victim dies. The prober notices; the survivors absorb
+	// its arcs.
+	cluster.Kill(victim)
 	waitForStats(t, coord, "probe death", func(s fabric.FabricStats) bool {
 		return s.ProbeDeaths >= 1
 	})
 	assertIdentical(t, want, runCoord(t, coord, wideSpecJSON))
 
 	// Phase 3: the worker restarts on the same address with a cold
-	// engine (a bounced process keeps nothing). The prober revives it
-	// and the coordinator warm-joins it from its ring peers.
-	if err := cluster.Restart(1); err != nil {
+	// engine (a bounced process keeps nothing). The prober revives it.
+	if err := cluster.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
-	waitForStats(t, coord, "revival and warm join", func(s fabric.FabricStats) bool {
-		return s.ProbeRevivals >= 1 && s.WarmJoins >= 1 && s.WarmInstalled > 0
+	waitForStats(t, coord, "revival", func(s fabric.FabricStats) bool {
+		return s.ProbeRevivals >= 1
 	})
 
+	// The rejoined worker took its arcs back cold: it evaluated its
+	// shard itself, and the campaign still answers the single-process
+	// bytes.
 	assertIdentical(t, want, runCoord(t, coord, wideSpecJSON))
-	// The rejoined worker took its arcs back warm: every shard key
-	// routed to it was in the shipped snapshot. Each point's ratio
-	// column also evaluates its base machine's suite, and the two base
-	// fingerprints need not fall inside this worker's arcs — so up to
-	// two side-computation misses are legitimate; more means the warm
-	// join shipped short.
-	hits, misses := cluster.Node(1).Engine.CacheStats()
-	if misses > 2 {
-		t.Errorf("rejoined worker evaluated %d suites, want at most the 2 base suites beside shipped-snapshot hits", misses)
-	}
-	if hits == 0 {
+	if hits, misses := cluster.Node(victim).Engine.CacheStats(); hits+misses == 0 {
 		t.Error("rejoined worker served nothing after revival")
 	}
 	for _, ms := range coord.Membership().Status() {
@@ -281,7 +283,7 @@ func TestTamperedWorkerExcluded(t *testing.T) {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(faultSeed(42)))
+	rng := rand.New(rand.NewSource(faultSeed(t, 42)))
 	for round := 0; round < 3; round++ {
 		victim := rng.Intn(3)
 		frame := 1 + rng.Intn(4)

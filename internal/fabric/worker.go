@@ -2,15 +2,10 @@ package fabric
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
-	"strings"
-	"time"
 
 	"repro"
 )
@@ -28,7 +23,7 @@ type pointsRequest struct {
 	Model  string          `json:"model"`
 }
 
-// maxRequestBytes bounds a points or warm request body: a spec as large
+// maxRequestBytes bounds a points request body: a spec as large
 // as the public surface accepts, every one of MaxCampaignPoints indices
 // (at most four digits and a comma each), and a KiB for the keys and
 // the model fingerprint.
@@ -40,9 +35,6 @@ const maxRequestBytes = repro.MaxSpecBytes + repro.MaxCampaignPoints*5 + 1<<10
 type Worker struct {
 	eng *repro.Engine
 	reg *repro.MachineRegistry
-	// client performs warm-join snapshot pulls from peers
-	// (ServeWarm); tests may swap it.
-	client *http.Client
 	// model is the fingerprint a coordinator must present
 	// (modelFingerprint; tests may swap it).
 	model string
@@ -54,14 +46,7 @@ func NewWorker(eng *repro.Engine, reg *repro.MachineRegistry) *Worker {
 	if reg == nil {
 		reg = repro.DefaultMachineRegistry()
 	}
-	return &Worker{
-		eng: eng,
-		reg: reg,
-		// Snapshot pulls are a few MB of local traffic at worst; a
-		// bounded client keeps a hung peer from wedging a warm-join.
-		client: &http.Client{Timeout: 30 * time.Second},
-		model:  modelFingerprint(),
-	}
+	return &Worker{eng: eng, reg: reg, model: modelFingerprint()}
 }
 
 // ServeHTTP answers POST /v1/fabric/points, streaming one frame per
@@ -190,8 +175,6 @@ func (wk *Worker) checkModel(model string) error {
 func (wk *Worker) Register(mux *http.ServeMux) {
 	mux.Handle(PointsPath, wk)
 	mux.HandleFunc(HealthPath, wk.ServeHealth)
-	mux.HandleFunc(SnapshotPath, wk.ServeSnapshot)
-	mux.HandleFunc(WarmPath, wk.ServeWarm)
 }
 
 // ServeHealth answers the fabric readiness probe. A worker that can
@@ -208,132 +191,6 @@ func (wk *Worker) ServeHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-// ServeSnapshot answers GET /v1/fabric/snapshot?arc=lo-hi,...: the
-// worker's suite-cache entries whose machine fingerprints the arcs
-// contain, in the core snapshot wire format. Without an arc parameter
-// the full cache is returned. The body is deterministic for a given
-// cache state (entries sort by canonical key), so two peers holding
-// the same entries ship identical bytes.
-func (wk *Worker) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		workerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	arcs, err := ParseArcs(r.URL.Query().Get("arc"))
-	if err != nil {
-		workerError(w, http.StatusBadRequest, err)
-		return
-	}
-	var keep func(uint64) bool
-	if len(arcs) > 0 {
-		keep = func(fp uint64) bool {
-			for _, a := range arcs {
-				if a.Contains(fp) {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	data, err := wk.eng.SnapshotCacheIf(keep)
-	if err != nil {
-		workerError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", SnapshotContentType)
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	_, _ = w.Write(data)
-}
-
-// warmRequest is the body of POST /v1/fabric/warm: the peers to pull
-// from and the arcs (FormatArcs encoding) this worker should warm.
-type warmRequest struct {
-	Peers []string `json:"peers"`
-	Arc   string   `json:"arc"`
-}
-
-// warmResponse reports a warm-join pull: entries installed into the
-// cache, peers successfully pulled, and per-peer failures (best
-// effort — a dead peer costs warmth, not correctness).
-type warmResponse struct {
-	Installed int      `json:"installed"`
-	Peers     int      `json:"peers"`
-	Errors    []string `json:"errors,omitempty"`
-}
-
-// ServeWarm answers POST /v1/fabric/warm by pulling the named arcs'
-// snapshot from each peer and installing the entries into the
-// worker's own suite cache (already-cached keys are skipped). Failures
-// against individual peers are reported but not fatal: a warm-join is
-// an optimization, and a worker that could not warm simply evaluates
-// its shard cold, bit-identically.
-func (wk *Worker) ServeWarm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		workerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	var req warmRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		workerError(w, http.StatusBadRequest, fmt.Errorf("decoding warm request: %w", err))
-		return
-	}
-	if _, err := ParseArcs(req.Arc); err != nil {
-		workerError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp := warmResponse{}
-	for _, peer := range req.Peers {
-		n, err := wk.pullSnapshot(r.Context(), peer, req.Arc)
-		if err != nil {
-			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", peer, err))
-			continue
-		}
-		resp.Peers++
-		resp.Installed += n
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// pullSnapshot fetches one peer's arc-filtered snapshot and installs
-// it. The client names the peer, so the read stops at the largest
-// snapshot an honest peer's full cache can produce.
-func (wk *Worker) pullSnapshot(ctx context.Context, peer, arc string) (int, error) {
-	u := peer + SnapshotPath
-	if arc != "" {
-		u += "?arc=" + url.QueryEscape(arc)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := wk.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, fmt.Errorf("peer answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	tooLarge := fmt.Errorf("peer snapshot exceeds %d bytes", repro.MaxSnapshotBytes)
-	if resp.ContentLength > repro.MaxSnapshotBytes {
-		return 0, tooLarge
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, repro.MaxSnapshotBytes+1))
-	if err != nil {
-		return 0, err
-	}
-	if len(data) > repro.MaxSnapshotBytes {
-		return 0, tooLarge
-	}
-	return wk.eng.RestoreCache(data)
 }
 
 // workerError answers a pre-stream failure as the same JSON error

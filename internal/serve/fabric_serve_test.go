@@ -175,9 +175,9 @@ func TestFleetDownRetryAfterAndMetric(t *testing.T) {
 }
 
 // TestCoordinatorMetricsExposeFleet: a coordinating server's /metrics
-// reports per-worker up gauges and the self-healing
-// counters; a plain server omits the per-worker block but still exports
-// the fleet-down counter at zero.
+// reports per-worker up gauges and the probe counters, and no
+// warm-join series; a plain server omits the per-worker block but
+// still exports the fleet-down counter at zero.
 func TestCoordinatorMetricsExposeFleet(t *testing.T) {
 	coord, workers := newFleet(t, 2)
 	body := getMetricsBody(t, coord)
@@ -190,11 +190,13 @@ func TestCoordinatorMetricsExposeFleet(t *testing.T) {
 	for _, counter := range []string{
 		"sg2042d_fabric_probe_deaths_total 0",
 		"sg2042d_fabric_probe_revivals_total 0",
-		"sg2042d_fabric_warm_joins_total 0",
 	} {
 		if !strings.Contains(body, counter) {
 			t.Errorf("metrics lack %q", counter)
 		}
+	}
+	if strings.Contains(body, "sg2042d_fabric_warm_") {
+		t.Errorf("metrics still export warm-join series:\n%s", grepMetrics(body, "fabric_warm_"))
 	}
 
 	plain := httptest.NewServer(New(Options{}).Handler())
@@ -240,39 +242,46 @@ func TestDamagedFrameCampaignByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkerFabricSurfaceMounted: Options.Worker mounts the whole
-// self-healing surface — healthz for the prober, snapshot and warm for
-// peer shipping — and a plain server mounts none of it.
+// TestWorkerFabricSurfaceMounted: Options.Worker mounts the prober's
+// fabric healthz and no cache-shipping route — a worker answers 404 to
+// GET /v1/fabric/snapshot and POST /v1/fabric/warm — and a plain server
+// mounts none of the fabric surface.
 func TestWorkerFabricSurfaceMounted(t *testing.T) {
 	worker := httptest.NewServer(New(Options{Worker: true}).Handler())
 	defer worker.Close()
 	plain := httptest.NewServer(New(Options{}).Handler())
 	defer plain.Close()
 
-	resp, err := http.Get(worker.URL + "/v1/fabric/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("worker fabric healthz: status %d, want 200", resp.StatusCode)
-	}
-	resp, err = http.Get(worker.URL + "/v1/fabric/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("worker fabric snapshot: status %d, want 200", resp.StatusCode)
-	}
-	for _, path := range []string{"/v1/fabric/healthz", "/v1/fabric/snapshot"} {
-		resp, err := http.Get(plain.URL + path)
+	status := func(method, url string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("plain server %s: status %d, want 404", path, resp.StatusCode)
+		return resp.StatusCode
+	}
+	for _, c := range []struct {
+		srv          *httptest.Server
+		method, path string
+		want         int
+	}{
+		{worker, http.MethodGet, "/v1/fabric/healthz", http.StatusOK},
+		{worker, http.MethodGet, "/v1/fabric/snapshot", http.StatusNotFound},
+		{worker, http.MethodPost, "/v1/fabric/warm", http.StatusNotFound},
+		{plain, http.MethodGet, "/v1/fabric/healthz", http.StatusNotFound},
+		{plain, http.MethodGet, "/v1/fabric/snapshot", http.StatusNotFound},
+	} {
+		name := "worker"
+		if c.srv == plain {
+			name = "plain server"
+		}
+		if got := status(c.method, c.srv.URL+c.path); got != c.want {
+			t.Errorf("%s %s %s: status %d, want %d", name, c.method, c.path, got, c.want)
 		}
 	}
 }

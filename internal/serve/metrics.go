@@ -173,15 +173,6 @@ func (m *metrics) render(engine, render memo.Stats, ready bool, fs *fabric.Fabri
 		b.WriteString("# HELP sg2042d_fabric_probe_revivals_total Worker dead-to-live transitions (rejoins) observed by the health prober.\n")
 		b.WriteString("# TYPE sg2042d_fabric_probe_revivals_total counter\n")
 		fmt.Fprintf(&b, "sg2042d_fabric_probe_revivals_total %d\n", fs.ProbeRevivals)
-		b.WriteString("# HELP sg2042d_fabric_warm_joins_total Warm-join snapshot shipments completed for (re)joined workers.\n")
-		b.WriteString("# TYPE sg2042d_fabric_warm_joins_total counter\n")
-		fmt.Fprintf(&b, "sg2042d_fabric_warm_joins_total %d\n", fs.WarmJoins)
-		b.WriteString("# HELP sg2042d_fabric_warm_entries_total Suite-cache entries installed across all warm-joins.\n")
-		b.WriteString("# TYPE sg2042d_fabric_warm_entries_total counter\n")
-		fmt.Fprintf(&b, "sg2042d_fabric_warm_entries_total %d\n", fs.WarmInstalled)
-		b.WriteString("# HELP sg2042d_fabric_warm_errors_total Failed warm shipments plus per-peer snapshot pull failures.\n")
-		b.WriteString("# TYPE sg2042d_fabric_warm_errors_total counter\n")
-		fmt.Fprintf(&b, "sg2042d_fabric_warm_errors_total %d\n", fs.WarmErrors)
 		b.WriteString("# HELP sg2042d_fabric_worker_up Whether each fabric worker is currently live in the ring.\n")
 		b.WriteString("# TYPE sg2042d_fabric_worker_up gauge\n")
 		for _, ms := range fs.Members {

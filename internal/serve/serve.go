@@ -21,8 +21,6 @@
 //	GET  /livez                     liveness probe (200 from the first request)
 //	POST /v1/fabric/points          shard-scoped campaign points (Options.Worker)
 //	GET  /v1/fabric/healthz         fabric liveness for the coordinator's prober (Options.Worker)
-//	GET  /v1/fabric/snapshot        arc-scoped suite-cache snapshot (Options.Worker)
-//	POST /v1/fabric/warm            pull peer snapshots into the local cache (Options.Worker)
 //
 // With Options.Coordinate the campaign endpoint shards its grid over a
 // fleet of workers through internal/fabric; every format's bytes stay
@@ -133,9 +131,9 @@ func (s *Server) Engine() *repro.Engine { return s.eng }
 func (s *Server) Coordinator() *fabric.Coordinator { return s.coord }
 
 // StartFabricProber begins coordinator-side health probing: workers
-// die and rejoin the ring as their /v1/fabric/healthz answers change,
-// with snapshot shipping on every rejoin. No-op unless the server
-// coordinates. The prober stops when ctx is cancelled.
+// die and rejoin the ring as their /v1/fabric/healthz answers change.
+// No-op unless the server coordinates. The prober stops when ctx is
+// cancelled.
 func (s *Server) StartFabricProber(ctx context.Context, cfg fabric.ProbeConfig) {
 	if s.coord != nil {
 		s.coord.StartProber(ctx, cfg)
@@ -154,12 +152,8 @@ func (s *Server) routes() {
 	s.handle("GET /v1/cluster/{machine}", "cluster", s.handleCluster)
 	if s.wk != nil {
 		s.handle("POST "+fabric.PointsPath, "fabric-points", s.wk.ServeHTTP)
-		// The self-healing surface: the coordinator's prober watches
-		// fabric healthz, and peers ship arc-scoped cache snapshots to a
-		// (re)joining worker through snapshot/warm.
+		// The coordinator's prober watches fabric healthz.
 		s.handle("GET "+fabric.HealthPath, "fabric-healthz", s.wk.ServeHealth)
-		s.handle("GET "+fabric.SnapshotPath, "fabric-snapshot", s.wk.ServeSnapshot)
-		s.handle("POST "+fabric.WarmPath, "fabric-warm", s.wk.ServeWarm)
 	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)

@@ -18,14 +18,6 @@ func (e *Engine) SnapshotCache() ([]byte, error) {
 	return e.st.SnapshotCache()
 }
 
-// SnapshotCacheIf is SnapshotCache restricted to entries whose machine
-// fingerprint keep accepts (nil keeps everything). The fabric's
-// snapshot-shipping endpoint uses it to serve one ring arc of the
-// cache to a rejoining peer.
-func (e *Engine) SnapshotCacheIf(keep func(machineFP uint64) bool) ([]byte, error) {
-	return e.st.SnapshotCacheIf(keep)
-}
-
 // RestoreCache installs a snapshot into the engine's suite cache,
 // returning how many entries were installed (already-cached keys are
 // skipped, never overwritten). Restore is all-or-nothing: a corrupt,
@@ -37,7 +29,3 @@ func (e *Engine) RestoreCache(data []byte) (int, error) {
 
 // SnapshotVersion is the current snapshot schema version.
 const SnapshotVersion = core.SnapshotVersion
-
-// MaxSnapshotBytes is the largest snapshot a full suite cache
-// produces; a reader of untrusted snapshots bounds its read with it.
-const MaxSnapshotBytes = core.MaxSnapshotBytes
