@@ -144,7 +144,11 @@ func (s CampaignSpec) Fingerprints() ([]uint64, error) {
 }
 
 // Title renders the campaign's deterministic heading.
-func (s CampaignSpec) Title() string {
+func (s CampaignSpec) Title() string { return s.title(s.Points()) }
+
+// title renders the heading for a grid of the given size, so a caller
+// holding the compiled plan does not compile the spec again.
+func (s CampaignSpec) title(points int) string {
 	n := s.normalized()
 	labels := make([]string, len(n.Bases))
 	for i, b := range n.Bases {
@@ -180,7 +184,7 @@ func (s CampaignSpec) Title() string {
 		ps[i] = p.String()
 	}
 	parts = append(parts, strings.Join(ps, ","))
-	return fmt.Sprintf("Campaign: %s (%d points)", strings.Join(parts, " x "), s.Points())
+	return fmt.Sprintf("Campaign: %s (%d points)", strings.Join(parts, " x "), points)
 }
 
 // CampaignCell is one (point, class) summary: the class's mean modelled
@@ -382,7 +386,7 @@ func (st *Study) Campaign(spec CampaignSpec, emit func(CampaignPoint) error) (Ca
 		return CampaignResult{}, emitErr
 	}
 
-	res := CampaignResult{Title: spec.Title(), Points: points}
+	res := CampaignResult{Title: spec.title(n), Points: points}
 	res.Ranked = rankByMeanRatio(points)
 	res.BestByClass = bestByClass(points)
 	res.Pareto = paretoFront(points)
@@ -472,18 +476,19 @@ func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(Camp
 // computes them, so an assembled result renders byte-identically to a
 // single-process one.
 func AssembleCampaign(spec CampaignSpec, points []CampaignPoint) (CampaignResult, error) {
-	if err := spec.Validate(); err != nil {
+	plan, err := planFor(spec)
+	if err != nil {
 		return CampaignResult{}, err
 	}
-	if n := spec.Points(); len(points) != n {
-		return CampaignResult{}, fmt.Errorf("core: assembling campaign from %d points, grid has %d", len(points), n)
+	if len(points) != plan.n {
+		return CampaignResult{}, fmt.Errorf("core: assembling campaign from %d points, grid has %d", len(points), plan.n)
 	}
 	for i := range points {
 		if points[i].Index != i {
 			return CampaignResult{}, fmt.Errorf("core: campaign point at position %d has index %d", i, points[i].Index)
 		}
 	}
-	res := CampaignResult{Title: spec.Title(), Points: points}
+	res := CampaignResult{Title: spec.title(plan.n), Points: points}
 	res.Ranked = rankByMeanRatio(points)
 	res.BestByClass = bestByClass(points)
 	res.Pareto = paretoFront(points)

@@ -136,7 +136,7 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]float64, error) {
 		runs = 1
 	}
 	seed := st.Seed ^ configSeed(cfg)
-	if draws := noiseDraws(seed, len(specs)*runs); draws != nil {
+	if draws := noiseStreams.draws(seed, len(specs)*runs); draws != nil {
 		// Cached draws: the same values a freshly seeded generator
 		// produces, consumed in the same order (kernel-major).
 		k := 0

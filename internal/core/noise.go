@@ -13,11 +13,13 @@ package core
 // full suite. noiseSource derives the same state from independent
 // multiplies in ~3 µs (BenchmarkNoiseSeed, 2-CPU x86-64 host), and the
 // fallback path reseeds a pooled generator, so an uncached evaluation
-// allocates no generator state. A campaign-heavy process still replays the same few
-// dozen seeds on every cold engine, so the draws themselves are also
-// cached process-wide by seed: a cached replay multiplies the identical
-// draw values in the identical order, so results stay bit-identical to
-// a freshly seeded generator; the caller falls back to one when the
+// allocates no generator state. A campaign-heavy process still replays
+// the same few dozen seeds on every cold engine, so the draws
+// themselves are also cached process-wide by seed, and only the draws:
+// 2.5 KB for a full suite's 320, where a cached generator would add
+// its 4.9 KB state. A cached replay multiplies the identical draw
+// values in the identical order, so results stay bit-identical to a
+// freshly seeded generator; the caller falls back to one when the
 // cache is full.
 
 import (
@@ -36,50 +38,56 @@ const (
 	maxNoiseDraws = 1 << 14
 )
 
-// noiseStream is one seed's draw prefix, extended on demand.
-type noiseStream struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	draws []float64
-}
-
-var noiseStreams struct {
+// noiseCache maps a seed to its cached draw prefix. A seed keeps only
+// its draws, at exactly the longest length requested: no generator state
+// (4.9 KB a seed) and no append slack. A request for a longer prefix
+// regenerates the whole prefix from a pooled generator.
+type noiseCache struct {
 	mu sync.Mutex
-	m  map[int64]*noiseStream
+	m  map[int64][]float64
 }
 
-// noiseDraws returns the first n NormFloat64 draws of the seeded
-// stream, or nil when the request cannot be served from the cache (the
-// caller seeds a generator from noiseRandPool). The returned slice is
-// shared and read-only; extending a stream never moves bytes under a
-// prior caller's view.
-func noiseDraws(seed int64, n int) []float64 {
+// noiseStreams is the process-wide noise-draw cache.
+var noiseStreams noiseCache
+
+// draws returns the first n NormFloat64 draws of the seeded stream, or
+// nil when the request cannot be served from the cache (the caller
+// seeds a generator from noiseRandPool). The returned slice is shared
+// and read-only; a longer prefix is a new slice, so a prior caller's
+// view never changes.
+func (c *noiseCache) draws(seed int64, n int) []float64 {
 	if n > maxNoiseDraws {
 		return nil
 	}
-	noiseStreams.mu.Lock()
-	s, ok := noiseStreams.m[seed]
-	if !ok {
-		if len(noiseStreams.m) >= maxNoiseSeeds {
-			noiseStreams.mu.Unlock()
-			return nil
-		}
-		if noiseStreams.m == nil {
-			noiseStreams.m = make(map[int64]*noiseStream)
-		}
-		src := new(noiseSource)
-		src.Seed(seed)
-		s = &noiseStream{rng: rand.New(src)}
-		noiseStreams.m[seed] = s
+	c.mu.Lock()
+	d, ok := c.m[seed]
+	full := !ok && len(c.m) >= maxNoiseSeeds
+	c.mu.Unlock()
+	if full {
+		return nil
 	}
-	noiseStreams.mu.Unlock()
+	if len(d) >= n {
+		return d[:n:n]
+	}
 
-	s.mu.Lock()
-	for len(s.draws) < n {
-		s.draws = append(s.draws, s.rng.NormFloat64())
+	// Generate outside the lock: a racing request for the same seed
+	// generates identical draws, and the longer prefix is kept.
+	d = make([]float64, n)
+	rng := noiseRandPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	for i := range d {
+		d[i] = rng.NormFloat64()
 	}
-	d := s.draws[:n:n]
-	s.mu.Unlock()
+	noiseRandPool.Put(rng)
+
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[int64][]float64)
+	}
+	if cur, ok := c.m[seed]; !ok && len(c.m) < maxNoiseSeeds || ok && len(cur) < n {
+		c.m[seed] = d
+	}
+	c.mu.Unlock()
 	return d
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -87,6 +88,58 @@ func FuzzNoiseSource(f *testing.F) {
 		reused.NormFloat64()
 		checkNoiseSource(t, reused, seed)
 	})
+}
+
+// TestNoiseCacheExtendsPrefix: after a shorter prefix was cached, a
+// longer request returns draws bit-identical to a freshly seeded
+// math/rand generator, leaves the earlier view intact, and a replay of
+// a cached length is served without regenerating.
+func TestNoiseCacheExtendsPrefix(t *testing.T) {
+	var c noiseCache
+	for _, seed := range []int64{977, -3, math.MaxInt64} {
+		short := append([]float64(nil), c.draws(seed, 40)...)
+		view := c.draws(seed, 40)
+		long := c.draws(seed, 700)
+		ref := rand.New(rand.NewSource(seed))
+		for i, got := range long {
+			if w := ref.NormFloat64(); math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("seed %d: extended draw #%d = %v, math/rand gives %v", seed, i, got, w)
+			}
+		}
+		for i := range short {
+			if math.Float64bits(view[i]) != math.Float64bits(short[i]) {
+				t.Fatalf("seed %d: extending the stream changed an earlier view at #%d", seed, i)
+			}
+		}
+		if again := c.draws(seed, 320); len(again) != 320 || &again[0] != &long[0] {
+			t.Errorf("seed %d: replaying a cached prefix regenerated it", seed)
+		}
+	}
+}
+
+// TestNoiseCacheHoldsOnlyDraws: a cached seed costs about its draws —
+// 2.5 KB for a full suite's 320 — not a generator state besides.
+func TestNoiseCacheHoldsOnlyDraws(t *testing.T) {
+	const (
+		seeds   = 512
+		n       = 320
+		maxSeed = 3 << 10 // bytes of live heap per cached seed
+	)
+	var c noiseCache
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for s := int64(0); s < seeds; s++ {
+		if c.draws(1<<40+s, n) == nil {
+			t.Fatalf("seed %d not admitted", s)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(&c)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / seeds; per > maxSeed {
+		t.Errorf("caching %d seeds at n = %d grew the live heap by %d B a seed, want <= %d", seeds, n, per, maxSeed)
+	}
 }
 
 // BenchmarkNoiseSeed measures reseeding a pooled generator, the cost

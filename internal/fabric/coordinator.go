@@ -92,9 +92,6 @@ func NewCoordinator(targets []string, reg *repro.MachineRegistry, client *http.C
 	}, nil
 }
 
-// Targets returns the coordinator's worker list (live or not).
-func (c *Coordinator) Targets() []string { return c.mem.Targets() }
-
 // Membership exposes the fleet state (status surfaces, tests).
 func (c *Coordinator) Membership() *Membership { return c.mem }
 
@@ -172,6 +169,15 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 	if err != nil {
 		return repro.CampaignResult{}, err
 	}
+	return c.RunSpec(ctx, spec, specJSON, emit)
+}
+
+// RunSpec is Run for a caller that has already parsed specJSON with
+// repro.CampaignSpecFromJSON against the coordinator's registry; spec
+// must be that parse. The HTTP surface parses every request body to
+// answer spec errors itself, so it hands the spec over instead of
+// having it parsed, and its plan compiled, a second time.
+func (c *Coordinator) RunSpec(ctx context.Context, spec repro.CampaignSpec, specJSON []byte, emit func(repro.CampaignPoint) error) (repro.CampaignResult, error) {
 	fps, err := spec.Fingerprints()
 	if err != nil {
 		return repro.CampaignResult{}, err

@@ -206,7 +206,8 @@ func TestModelMismatchWorkerExcluded(t *testing.T) {
 			wk.model = "other-model"
 		}
 		mux := http.NewServeMux()
-		wk.Register(mux)
+		mux.Handle(PointsPath, wk)
+		mux.HandleFunc(HealthPath, wk.ServeHealth)
 		srv := httptest.NewServer(mux)
 		defer srv.Close()
 		targets = append(targets, srv.URL)

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -307,5 +308,62 @@ func TestTamperedWorkerExcluded(t *testing.T) {
 	}
 	if reason := down.Failures[cluster.Targets()[0]]; !strings.Contains(reason, "checksum") {
 		t.Fatalf("failure %q does not name the checksum", reason)
+	}
+}
+
+// TestRingSharesLoopbackFleetsFairly: over many random 3-worker
+// loopback fleets, every worker owns a fair share of the key space and
+// at least one point of the wideSpecJSON grid. A vnode position hashed
+// without mixing clustered each worker's vnodes, and one such fleet
+// left a worker 0.85% of the key space and no point of the grid.
+func TestRingSharesLoopbackFleetsFairly(t *testing.T) {
+	spec, err := repro.CampaignSpecFromJSON(wideSpecJSON, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps, err := spec.Fingerprints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		fleets  = 500
+		samples = 1 << 12 // evenly spaced keys measure each share
+		minFair = 0.15
+	)
+	pick := rand.New(rand.NewSource(20260901))
+	for f := 0; f < fleets; f++ {
+		var targets []string
+		for len(targets) < 3 {
+			tg := "http://127.0.0.1:" + strconv.Itoa(1024+pick.Intn(65536-1024))
+			if !slices.Contains(targets, tg) {
+				targets = append(targets, tg)
+			}
+		}
+		ring, err := fabric.NewRing(targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := map[string]int{}
+		for i := uint64(0); i < samples; i++ {
+			owner, err := ring.Owner(i*(1<<64/samples), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			share[owner]++
+		}
+		points := map[string]int{}
+		for _, fp := range fps {
+			owner, err := ring.Owner(fp, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points[owner]++
+		}
+		for _, tg := range targets {
+			if s := float64(share[tg]) / samples; s < minFair || points[tg] == 0 {
+				t.Fatalf("fleet %v: %s owns %.2f%% of the key space (want >= %.0f%%) and %d of %d grid points",
+					targets, tg, 100*s, 100*minFair, points[tg], len(fps))
+			}
+		}
 	}
 }

@@ -171,12 +171,6 @@ func (wk *Worker) checkModel(model string) error {
 	return nil
 }
 
-// Register mounts every worker endpoint on a mux.
-func (wk *Worker) Register(mux *http.ServeMux) {
-	mux.Handle(PointsPath, wk)
-	mux.HandleFunc(HealthPath, wk.ServeHealth)
-}
-
 // ServeHealth answers the fabric readiness probe. A worker that can
 // run this handler can serve shard traffic, so the answer is 200 —
 // warmth is a performance property, not a liveness one — unless the

@@ -33,9 +33,7 @@ func postJSON(t *testing.T, url string, body []byte, out any) int {
 // of the public cap plus every index a grid can have — still reaches
 // validation.
 func TestWorkerBoundsRequestBodies(t *testing.T) {
-	mux := http.NewServeMux()
-	NewWorker(repro.NewEngine(repro.Options{}), nil).Register(mux)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(NewWorker(repro.NewEngine(repro.Options{}), nil))
 	defer srv.Close()
 	oversize := []byte(`{"points":[` + strings.Repeat("0,", maxRequestBytes/2) + `0]}`)
 	var env map[string]string

@@ -1,9 +1,10 @@
 // Package memo is the one memoization primitive of the study engine
 // and its daemon: a bounded, sharded, singleflight map. The suite
 // cache (internal/core), the campaign-plan cache (internal/core), the
-// derivation memo (internal/machine) and the rendered-response cache
-// (internal/serve) are all instances of it; docs/PERFORMANCE.md lists
-// each one's key, cap and scope.
+// sharing cache (internal/perfmodel), the derivation memo
+// (internal/machine) and the rendered-response cache (internal/serve)
+// are all instances of it; docs/PERFORMANCE.md lists each one's key,
+// cap and scope.
 //
 // A Cache splits its entries over 16 shards, selected by a hash the
 // caller supplies, so lookups of different keys rarely share a lock.

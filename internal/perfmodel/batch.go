@@ -15,11 +15,11 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/autovec"
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/placement"
 	"repro/internal/prec"
 )
@@ -84,57 +84,45 @@ var scalarBuildDecision = autovec.Decision{
 	Vectorized: false, Mode: autovec.Scalar, Efficiency: 1, Reason: "scalar build",
 }
 
-// sharingCache memoizes the placement analysis process-wide, keyed by
-// the machine's full-parameter fingerprint (the same trust the suite
-// cache places in it) plus policy and thread count. A campaign's grid
-// points revisit a handful of (machine, placement, threads) triples
-// across hundreds of configurations; the Map/Analyze pair — a core
-// enumeration plus per-domain histograms — is the dominant allocator
-// of evalCtx construction, and its result is a pure function of the
-// key. The cached Sharing is shared read-only across contexts (the
-// model only reads its scalar fields and hands it to levelParamsFor,
-// which reads too). Map errors memoize alongside — a policy invalid
-// for a machine is as deterministic as a valid one.
-var sharingCache struct {
-	mu sync.Mutex
-	m  map[sharingKey]sharingVal
-}
+// sharings memoizes the placement analysis process-wide, keyed by the
+// machine's topology (placement.TopologyKey) plus policy and thread
+// count. A campaign's grid points revisit a handful of (topology,
+// placement, threads) triples across hundreds of configurations, and
+// the clock and vector axes it sweeps leave the topology alone; the
+// Map/Analyze pair — a core enumeration plus per-domain histograms —
+// is the dominant allocator of evalCtx construction, and its result is
+// a pure function of the key. The cached Sharing is shared read-only
+// across contexts (the model only reads its scalar fields and hands it
+// to levelParamsFor, which reads too). Map errors are not cached: they
+// name the machine's label, which the key leaves out.
+var sharings = memo.New[sharingKey, placement.Sharing](maxSharings, func(k sharingKey) uint64 {
+	return memo.Mix(memo.Mix(k.topo, uint64(k.pol)), uint64(k.threads))
+})
 
 type sharingKey struct {
-	fp      uint64
+	topo    uint64
 	pol     placement.Policy
 	threads int
 }
 
-type sharingVal struct {
-	sh  placement.Sharing
-	err error
-}
-
-// maxSharings bounds the memo; past it, new triples analyze per call.
+// maxSharings bounds the memo.
 const maxSharings = 4096
 
 func sharingFor(mach *machine.Machine, pol placement.Policy, threads int) (placement.Sharing, error) {
-	k := sharingKey{mach.Fingerprint(), pol, threads}
-	sharingCache.mu.Lock()
-	v, ok := sharingCache.m[k]
-	sharingCache.mu.Unlock()
-	if ok {
-		return v.sh, v.err
+	k := sharingKey{placement.TopologyKey(mach), pol, threads}
+	sh, err := sharings.Get(k, func() (placement.Sharing, error) {
+		cores, err := placement.Map(mach, pol, threads)
+		if err != nil {
+			return placement.Sharing{}, err
+		}
+		return placement.Analyze(mach, cores), nil
+	})
+	if err != nil {
+		// The memo hands a fill error to every concurrent waiter on the
+		// key, which may be another machine of this topology; Map again
+		// so the error names this machine.
+		_, err = placement.Map(mach, pol, threads)
 	}
-	cores, err := placement.Map(mach, pol, threads)
-	var sh placement.Sharing
-	if err == nil {
-		sh = placement.Analyze(mach, cores)
-	}
-	sharingCache.mu.Lock()
-	if sharingCache.m == nil {
-		sharingCache.m = make(map[sharingKey]sharingVal)
-	}
-	if len(sharingCache.m) < maxSharings {
-		sharingCache.m[k] = sharingVal{sh: sh, err: err}
-	}
-	sharingCache.mu.Unlock()
 	return sh, err
 }
 

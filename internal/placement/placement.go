@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"repro/internal/machine"
+	"repro/internal/memo"
 )
 
 // Policy selects a thread-to-core mapping strategy.
@@ -75,6 +76,27 @@ func Map(m *machine.Machine, p Policy, threads int) ([]int, error) {
 		return cyclicMap(m, threads, true), nil
 	}
 	return nil, fmt.Errorf("placement: unknown policy %d", int(p))
+}
+
+// TopologyKey hashes exactly the machine fields Map and Analyze read:
+// Cores, NUMARegions, NUMARegionOf, ClusterSize, Sockets and Nodes.
+// Machines with equal keys get the same mapping and Sharing for every
+// (policy, threads) pair, whatever their clock, vector width, caches
+// or names — the axes a campaign sweeps — so the placement analysis
+// can be memoized per topology. Map's error is not a function of the
+// key: it names the machine's label.
+func TopologyKey(m *machine.Machine) uint64 {
+	h := memo.Offset
+	h = memo.Mix(h, uint64(m.Cores))
+	h = memo.Mix(h, uint64(m.NUMARegions))
+	h = memo.Mix(h, uint64(m.ClusterSize))
+	h = memo.Mix(h, uint64(m.Sockets))
+	h = memo.Mix(h, uint64(m.Nodes))
+	h = memo.Mix(h, uint64(len(m.NUMARegionOf)))
+	for _, r := range m.NUMARegionOf {
+		h = memo.Mix(h, uint64(r))
+	}
+	return h
 }
 
 func blockMap(threads int) []int {

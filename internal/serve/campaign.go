@@ -161,7 +161,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		switch format {
 		case formatJSON:
 			body, err := marshalJSONBody(campaignJSON{
-				Title: spec.Title(), Points: points,
+				Title: res.Title, Points: points,
 				Format: "text", Output: out,
 			})
 			return body, "application/json", err
@@ -187,7 +187,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // is byte-identical across tiers.
 func (s *Server) runCampaign(r *http.Request, spec repro.CampaignSpec, raw []byte, emit func(repro.CampaignPoint) error) (repro.CampaignResult, error) {
 	if s.coord != nil {
-		return s.coord.Run(r.Context(), raw, emit)
+		return s.coord.RunSpec(r.Context(), spec, raw, emit)
 	}
 	return s.eng.CampaignStream(spec, emit)
 }
